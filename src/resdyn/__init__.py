@@ -30,6 +30,7 @@ from .lattice import (
     ThetaState,
     Tolerances,
     ZenoReport,
+    amplitude_grid,
     classify,
     component_chi,
     discrete_spectrum,
@@ -43,6 +44,7 @@ from .lattice import (
     short_time_resonant_prob,
     survival_direct,
     theta_amplitude,
+    theta_weights,
     zeno_time,
 )
 from .oracle import PropagationResult, TruncatedLattice, build_hamiltonian, propagate
@@ -65,6 +67,7 @@ __all__ = [
     "a_component",
     "a_component_asymptotic",
     "a_cut_direct",
+    "amplitude_grid",
     "build_hamiltonian",
     "classify",
     "component_chi",
@@ -83,6 +86,7 @@ __all__ = [
     "survival_direct",
     "survival_total",
     "theta_amplitude",
+    "theta_weights",
     "zeno_time",
 ]
 

@@ -308,27 +308,26 @@ def _tdot_survival_rows(config, times):
     spectrum = lat.discrete_spectrum(config.params)
     tol = config.tolerances
     theta_raw = config.options["theta"]
-    theta = None if theta_raw == "none" else lat.ThetaState(float(theta_raw))
     labels = _component_labels(spectrum)
 
-    def total(t):
-        if theta is None:
-            return lat.survival_direct(config.params, t, tol=tol, spectrum=spectrum)
-        return lat.theta_amplitude(spectrum, theta, "total", t, tol=tol)
-
-    def component(n, t):
-        if theta is None:
-            return lat.component_chi(spectrum, n, t, tol=tol)
-        return lat.theta_amplitude(spectrum, theta, n, t, tol=tol)
-
-    total_rep = (lat.Representation.DIRECT_CONTOUR if theta is None
-                 else lat.Representation.BESSEL_COMPONENT_SUM)
-    series = [lat.AmplitudeSeries(times, [total(t) for t in times], total_rep)]
+    theta = None if theta_raw == "none" else lat.ThetaState(float(theta_raw))
+    weights = None if theta is None else lat.theta_weights(spectrum, theta)
+    chi = ()
+    if theta is not None or config.options["components"]:
+        chi = lat.amplitude_grid(spectrum, times, weights, tol=tol)
+    if theta is None:
+        total = [lat.survival_direct(config.params, t, tol=tol, spectrum=spectrum)
+                 for t in times]
+        series = [lat.AmplitudeSeries(times, total,
+                                      lat.Representation.DIRECT_CONTOUR)]
+    else:
+        series = [lat.AmplitudeSeries(times, sum(chi),
+                                      lat.Representation.BESSEL_COMPONENT_SUM)]
     if config.options["components"]:
-        for n, name in enumerate(labels):
+        for row, name in zip(chi, labels):
             series.append(lat.AmplitudeSeries(
-                times, [component(n, t) for t in times],
-                lat.Representation.BESSEL_COMPONENT_SUM, component=name))
+                times, row, lat.Representation.BESSEL_COMPONENT_SUM,
+                component=name))
     if config.options["isolated_residue"]:
         series.append(lat.AmplitudeSeries(
             times, [lat.isolated_residue_amplitude(spectrum, t) for t in times],
@@ -429,10 +428,9 @@ def cmd_ratio(config, args):
         raise NoResonance(
             f"no resonant pair at eps1 = {config.params.eps1:g}{hint}")
     header = ["t", "r", "log10_r"]
-    rows = []
-    for t in config.time_grid.values():
-        r = lat.ratio_r(spectrum, t, tol=config.tolerances)
-        rows.append((fmt(t), fmt(r), fmt(np.log10(r))))
+    times = config.time_grid.values()
+    ratios = lat.ratio_r(spectrum, times, tol=config.tolerances)
+    rows = [(fmt(t), fmt(r), fmt(np.log10(r))) for t, r in zip(times, ratios)]
     _write_text(args.out, _csv_document(header, rows))
     report = lat.zeno_time(spectrum)
     sidecar = _json_document({"t0": report.t0, "tz": report.tz,
@@ -484,19 +482,23 @@ def cmd_oracle_check(config, args):
 
     report = {"n_sites": config.options["oracle_n_sites"],
               "tolerance": tolerance, "deviations": {}}
-    prop = orc.propagate(lattice, "d1", times)
+    # H is real symmetric, so <d1|e^{-iHt}|d2> = <d2|e^{-iHt}|d1>: one
+    # propagation from d1 serves every theta superposition
+    prop = orc.propagate(lattice, "d1", times, want_d2=True)
+    a11 = np.array(prop.amplitudes["d1"])
+    a21 = np.array(prop.amplitudes["d2"])
     dev = max(abs(lat.survival_direct(config.params, t, tol=config.tolerances,
                                       spectrum=spectrum) - a)
-              for t, a in zip(times, prop.amplitudes["d1"]))
+              for t, a in zip(times, a11))
     report["deviations"]["d1"] = dev
     raw = config.options["oracle_thetas"]
     for tok in filter(None, (s.strip() for s in raw.split(","))):
-        theta = float(tok)
-        prop_t = orc.propagate(lattice, ("theta", theta), times)
-        dev_t = max(abs(lat.theta_amplitude(spectrum, lat.ThetaState(theta),
-                                            "total", t, tol=config.tolerances) - a)
-                    for t, a in zip(times, prop_t.amplitudes["d1"]))
-        report["deviations"][f"theta_{tok}"] = dev_t
+        theta = lat.ThetaState(float(tok))
+        exact = (a11 + np.exp(1j * theta.theta) * a21) / np.sqrt(2.0)
+        total = sum(lat.amplitude_grid(spectrum, times,
+                                       lat.theta_weights(spectrum, theta),
+                                       tol=config.tolerances))
+        report["deviations"][f"theta_{tok}"] = float(np.max(np.abs(total - exact)))
     worst = max(report["deviations"].values())
     report["max_deviation"] = worst
     report["pass"] = bool(worst <= tolerance)

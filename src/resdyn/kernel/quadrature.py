@@ -9,7 +9,7 @@ declares it via ``open_interval``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,11 +54,16 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, conservative absolute-error estimate and evaluation count."""
+    """Value, conservative absolute-error estimate and evaluation count.
+
+    ``panels`` holds the converged leaf panels as (lo, hi, value) arrays
+    sorted by lo; their values add up to ``value`` up to rounding.
+    """
 
     value: complex
     abs_error_estimate: float
     evaluations: int
+    panels: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.abs_error_estimate < 0 or self.evaluations < 1:
@@ -77,11 +82,13 @@ def _gk15_batch(f, lo, hi):
     mid = 0.5 * (hi + lo)
     x = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
     fx = np.asarray(f(x), dtype=complex).reshape(len(lo), 15)
-    resk = half * (fx @ _WK)
-    resg = half * (fx @ _WG_FULL)
-    resabs = np.abs(half) * (np.abs(fx) @ _WK)
+    # elementwise products, not `@`: these small BLAS calls keep the BLAS
+    # thread pool spinning, costing CPU time for no measurable wall time
+    resk = half * (fx * _WK).sum(axis=1)
+    resg = half * (fx * _WG_FULL).sum(axis=1)
+    resabs = np.abs(half) * (np.abs(fx) * _WK).sum(axis=1)
     mean = resk / (hi - lo)
-    resasc = np.abs(half) * (np.abs(fx - mean[:, None]) @ _WK)
+    resasc = np.abs(half) * (np.abs(fx - mean[:, None]) * _WK).sum(axis=1)
     err = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(resasc > 0.0,
@@ -130,7 +137,9 @@ def _refine(f, pts, abs_tol, rel_tol, max_subdivisions):
         seq += 2
         splits += 1
 
-    return QuadratureResult(total_value, total_err, n_eval)
+    heap.sort(key=lambda leaf: leaf[2])
+    panels = tuple(np.array(col) for col in zip(*(leaf[2:5] for leaf in heap)))
+    return QuadratureResult(total_value, total_err, n_eval, panels)
 
 
 def adaptive_quad(f, a, b, abs_tol=1e-10, rel_tol=1e-8,

@@ -25,6 +25,7 @@ from .errors import (
     NearDegenerateSpectrum,
     NoResonance,
     NoSignChange,
+    QuadratureError,
     Unclassifiable,
     Underflow,
     ValidityWarning,
@@ -317,21 +318,6 @@ def _j1_over_t(b, tp):
     return out
 
 
-def _bessel_integral_to_t(b, energy, t, tol):
-    """I(t) = integral_0^t e^{i E t'} J1(2 b t')/t' dt' (t of either sign)."""
-    if t == 0:
-        return 0.0 + 0.0j
-    lo, hi = (0.0, t) if t > 0 else (t, 0.0)
-    period = np.pi / (2.0 * b + abs(energy.real) + abs(energy.imag))
-
-    def integrand(tp):
-        return np.exp(1j * energy * tp) * _j1_over_t(b, tp)
-
-    pts = _period_breakpoints(lo, hi, period)
-    res = piecewise_quad(integrand, pts, abs_tol=tol.abs_tol, rel_tol=tol.rel_tol)
-    return res.value if t > 0 else -res.value
-
-
 def _power_exp_tails(alpha, t_from):
     """G_s = integral_{t_from}^inf t^{-s} e^{i alpha t} dt for s = 3/2, 5/2,
     7/2 (Im alpha >= 0), via w^{s-1} Gamma(1-s, w t_from) with w = -i alpha
@@ -402,32 +388,156 @@ def _period_breakpoints(lo, hi, period, extra=()):
     return np.array(sorted(set(pts)))
 
 
-def _component_amplitude(b, lam, energy, weight, state_class, t, tol):
-    """<d1|chi(t)> for one discrete state with an arbitrary weight in place
-    of w_n (theta superpositions reuse this with (w + e^{i theta} q)/sqrt2).
+def _segment_integrals(b, energy, edges, anchor_right, tol):
+    """integral over [edges[k], edges[k+1]] of e^{-iE u} J1(2bt')/t' dt' for
+    every k, with u = edges[k+1] - t' (anchor_right) or u = t' - edges[k].
 
-    Bound, anti-bound and positive-time resonant states share the closed
-    form weight * e^{-iEt} [1/lam - i I(t)]; the negative-time resonant
-    value comes from the decaying tail integral, and anti-resonant states
-    are exact conjugate reflections of their resonant partner.
+    One piecewise_quad pass covers all segments.  Grid times are panel
+    edges, so every converged leaf panel lies inside one segment and the
+    per-segment sums are exact.  Since u >= 0, the phase factor has modulus
+    at most 1 whenever Im E <= 0.
     """
-    if state_class is StateClass.ANTI_RESONANT:
-        partner = _component_amplitude(
-            b, np.conj(lam), np.conj(energy), np.conj(weight),
-            StateClass.RESONANT, -t, tol)
-        return np.conj(partner)
-    if state_class is StateClass.RESONANT and t < 0:
-        tail = _bessel_tail(b, energy, -t, tol)
-        return -1j * weight * np.exp(-1j * energy * t) * tail
-    integral = _bessel_integral_to_t(b, energy, t, tol)
-    return weight * np.exp(-1j * energy * t) * (1.0 / lam - 1j * integral)
+    period = np.pi / (2.0 * b + abs(energy.real) + abs(energy.imag))
+    pts = np.concatenate(
+        [_period_breakpoints(lo, hi, period)[:-1]
+         for lo, hi in zip(edges[:-1], edges[1:])] + [edges[-1:]])
+
+    def integrand(tp):
+        k = np.searchsorted(edges, tp) - 1
+        u = edges[k + 1] - tp if anchor_right else tp - edges[k]
+        return np.exp(-1j * energy * u) * _j1_over_t(b, tp)
+
+    res = piecewise_quad(integrand, pts, abs_tol=tol.abs_tol, rel_tol=tol.rel_tol)
+    lo, _hi, values = res.panels
+    return np.add.reduceat(values, np.searchsorted(lo, edges[:-1]))
+
+
+def _forward_grid(b, energy, s, tol):
+    """F(s) = integral_0^s e^{-iE(s - t')} J1(2bt')/t' dt' on an ascending
+    grid s >= 0, by F(s_{k+1}) = e^{-iE(s_{k+1} - s_k)} F(s_k) + segment k.
+    """
+    edges = np.concatenate(([0.0], s[s > 0]))
+    out = np.zeros(len(edges), dtype=complex)
+    if len(edges) > 1:
+        seg = _segment_integrals(b, energy, edges, True, tol)
+        step = np.exp(-1j * energy * np.diff(edges))
+        for k in range(len(seg)):
+            out[k + 1] = step[k] * out[k] + seg[k]
+    return out[len(edges) - len(s):]
+
+
+def _tail_grid(b, energy, s, tol):
+    """U(s) = integral_s^inf e^{-iE(t' - s)} J1(2bt')/t' dt' on an ascending
+    grid s > 0 (Im E < 0): seeded once with e^{iES} T(S) at the largest s = S,
+    then U(s_k) = segment k + e^{-iE(s_{k+1} - s_k)} U(s_{k+1}) inward.
+    """
+    out = np.empty(len(s), dtype=complex)
+    out[-1] = np.exp(1j * energy * s[-1]) * _bessel_tail(b, energy, s[-1], tol)
+    if not np.isfinite(out[-1]) or out[-1] == 0:
+        raise Underflow("resonant/anti-resonant amplitudes exceed the "
+                        f"representable dynamic range at |t| = {s[-1]:g}")
+    if len(s) > 1:
+        seg = _segment_integrals(b, energy, s, False, tol)
+        step = np.exp(-1j * energy * np.diff(s))
+        for k in range(len(s) - 2, -1, -1):
+            out[k] = seg[k] + step[k] * out[k + 1]
+    return out
+
+
+def amplitude_grid(spectrum, times, weights=None, tol=DEFAULT_TOLERANCES):
+    """<d1|chi_n(t)> for every state n and grid time t, shape (n_states, n_times).
+
+    ``weights`` replaces the residue weights w_n (theta superpositions pass
+    ``theta_weights``).  The Bessel integrals depend only on E_n, so each is
+    computed once for the whole grid, weights applied afterwards:
+
+    * bound, anti-bound, and resonant states at t >= 0 take the closed form
+      weight * (e^{-iEt}/lam - i F_E(t)); negative times of real-energy
+      states use F_E(-s) = -F_{-E}(s);
+    * a resonant state at t < 0 is -i weight U_E(|t|), from the decaying tail;
+    * anti-resonant states are conjugate reflections of their resonant
+      partner (conjugated lam and E, time -t), so R and AR share one set of
+      E_R integrals.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise DomainError("times must be a finite 1-d grid")
+    states = spectrum.states
+    weights = np.array([s.weight_w for s in states] if weights is None
+                       else weights, dtype=complex)
+    if weights.shape != (len(states),):
+        raise DomainError("need one weight per state")
+
+    plans = []
+    needs = {}  # (kind, E) -> [s arrays, state, sign mapping s to the state's t]
+    for st in states:
+        mirror = st.state_class is StateClass.ANTI_RESONANT
+        lam, energy = (np.conj(st.lam), np.conj(st.energy)) if mirror \
+            else (st.lam, st.energy)
+        t = -times if mirror else times
+        pos = t >= 0
+        resonant = st.state_class in (StateClass.RESONANT,
+                                      StateClass.ANTI_RESONANT)
+        neg_key = ("tail", energy) if resonant else ("forward", -energy)
+        for key, sel, sign in ((("forward", energy), pos, 1.0),
+                               (neg_key, ~pos, -1.0)):
+            if sel.any():
+                need = needs.setdefault(key, [[], st, -sign if mirror else sign])
+                need[0].append(t[sel])
+        plans.append((mirror, lam, energy, t, pos, neg_key))
+
+    grids = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        # tails first: an out-of-range seed fails before any long forward pass
+        for key in sorted(needs, key=lambda k: k[0] != "tail"):
+            chunks, st, sign = needs[key]
+            kind, energy = key
+            s = np.unique(np.abs(np.concatenate(chunks)))
+            engine = _tail_grid if kind == "tail" else _forward_grid
+            try:
+                grids[key] = (s, engine(spectrum.params.b, energy, s, tol))
+            except QuadratureError as exc:
+                lo, hi = sorted((sign * (s[0] if kind == "tail" else 0.0),
+                                 sign * s[-1]))
+                raise type(exc)(
+                    f"{kind} integral of the {st.state_class.value} state "
+                    f"(E = {st.energy:.9g}) over t in [{lo:g}, {hi:g}]: {exc}",
+                    result=exc.result) from exc
+
+        def lookup(key, t):
+            s, values = grids[key]
+            return values[np.searchsorted(s, np.abs(t))]
+
+        out = np.empty((len(states), len(times)), dtype=complex)
+        for n, (mirror, lam, energy, t, pos, neg_key) in enumerate(plans):
+            unit = np.empty(len(times), dtype=complex)
+            tp, tn = t[pos], t[~pos]
+            if len(tp):
+                unit[pos] = (np.exp(-1j * energy * tp) / lam
+                             - 1j * lookup(("forward", energy), tp))
+            if len(tn):
+                if neg_key[0] == "tail":
+                    unit[~pos] = -1j * lookup(neg_key, tn)
+                else:
+                    unit[~pos] = (np.exp(-1j * energy * tn) / lam
+                                  + 1j * lookup(neg_key, tn))
+            out[n] = weights[n] * (np.conj(unit) if mirror else unit)
+    if not np.all(np.isfinite(out)):
+        raise Underflow("amplitudes exceed the representable dynamic range")
+    return out
 
 
 def component_chi(spectrum, n, t, tol=DEFAULT_TOLERANCES):
     """<d1|chi_n(t)>, the n-th eigenstate's share of the survival amplitude."""
-    state = spectrum.states[n]
-    return _component_amplitude(spectrum.params.b, state.lam, state.energy,
-                                state.weight_w, state.state_class, t, tol)
+    return amplitude_grid(spectrum, [t], tol=tol)[n, 0]
+
+
+def theta_weights(spectrum, theta_state):
+    """(w_n + e^{i theta} q_n)/sqrt(2): the residue weights of the
+    (|d1> + e^{i theta}|d2>)/sqrt(2) initial state."""
+    phase = np.exp(1j * theta_state.theta)
+    return np.array([(s.weight_w + phase * s.weight_q) / np.sqrt(2.0)
+                     for s in spectrum.states])
 
 
 def theta_amplitude(spectrum, theta_state, n, t, tol=DEFAULT_TOLERANCES):
@@ -435,17 +545,9 @@ def theta_amplitude(spectrum, theta_state, n, t, tol=DEFAULT_TOLERANCES):
 
     ``n`` is a state index or "total" for the sum over all states.
     """
-    phase = np.exp(1j * theta_state.theta)
-    b = spectrum.params.b
-
-    def one(state):
-        weight = (state.weight_w + phase * state.weight_q) / np.sqrt(2.0)
-        return _component_amplitude(b, state.lam, state.energy, weight,
-                                    state.state_class, t, tol)
-
-    if n == "total":
-        return sum(one(s) for s in spectrum.states)
-    return one(spectrum.states[n])
+    rows = amplitude_grid(spectrum, [t], theta_weights(spectrum, theta_state),
+                          tol)[:, 0]
+    return sum(rows) if n == "total" else rows[n]
 
 
 def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
@@ -489,15 +591,20 @@ def isolated_residue_amplitude(spectrum, t):
 
 
 def ratio_r(spectrum, t, tol=DEFAULT_TOLERANCES):
-    """r(t) = |chi_R(t)/chi_R(-t)|^2, the symmetry-breaking measure."""
+    """r(t) = |chi_R(t)/chi_R(-t)|^2, the symmetry-breaking measure.
+
+    ``t`` is a time or a 1-d grid; a grid is evaluated in one engine call.
+    """
+    t = np.asarray(t, dtype=float)
+    grid = t.reshape(-1)
     idx = spectrum.states.index(spectrum.resonant())
-    with np.errstate(all="ignore"):
-        num = component_chi(spectrum, idx, t, tol)
-        den = component_chi(spectrum, idx, -t, tol)
-    if not (np.isfinite(num) and np.isfinite(den)) or abs(den) < 1e-300:
+    row = amplitude_grid(spectrum, np.concatenate((grid, -grid)), tol=tol)[idx]
+    num, den = row[:len(grid)], row[len(grid):]
+    if np.any(np.abs(den) < 1e-300):
         raise Underflow("resonant/anti-resonant amplitudes exceed the "
                         "representable dynamic range at this time")
-    return float(abs(num) ** 2 / abs(den) ** 2)
+    r = np.abs(num) ** 2 / np.abs(den) ** 2
+    return float(r[0]) if t.ndim == 0 else r
 
 
 def zeno_time(spectrum):

@@ -1,0 +1,176 @@
+"""The whole-grid amplitude engine against independent references.
+
+References are the defining Bessel integrals evaluated with scipy
+(``scipy.special.j1`` and ``scipy.integrate.quad``), not resdyn's own
+quadrature or J1.  For a state with weight w:
+
+* closed form (bound and anti-bound states, R at t >= 0, AR at t <= 0):
+  w (e^{-iEt}/lam - i integral_0^t e^{-iE(t - t')} J1(2bt')/t' dt');
+* tail form (R at t < 0, AR at t > 0): -i s w e^{-isEt}
+  integral_|t|^inf e^{-isEt'} J1(2bt')/t' dt', with s = +1 for R and -1 for
+  AR, so that each state is checked in its own energy and weight.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from scipy import integrate, special
+
+from resdyn.cli import main
+from resdyn.errors import DomainError
+from resdyn.lattice import (
+    DEFAULT_TOLERANCES,
+    StateClass,
+    TDotParams,
+    ThetaState,
+    amplitude_grid,
+    discrete_spectrum,
+    theta_amplitude,
+    theta_weights,
+)
+
+NEAR_EP_PARAMS = TDotParams(b=1.0, eps1=-2.347528, eps2=0.0, g=0.4, t2l=1.0, t2r=1.0)
+
+
+def _j1_over_t(b, t):
+    return b if t == 0.0 else special.j1(2.0 * b * t) / t
+
+
+def _cquad(f, lo, hi):
+    def part(fn):
+        return integrate.quad(lambda u: fn(f(u)), lo, hi, limit=4000,
+                              epsabs=1e-14, epsrel=1e-12)[0]
+    return part(np.real) + 1j * part(np.imag)
+
+
+def reference_chi(b, state, weight, t):
+    lam, e = state.lam, state.energy
+    cls = state.state_class
+    if not ((cls is StateClass.RESONANT and t < 0)
+            or (cls is StateClass.ANTI_RESONANT and t > 0)):
+        forward = _cquad(lambda u: np.exp(-1j * e * (t - u)) * _j1_over_t(b, u),
+                         0.0, t)
+        return weight * (np.exp(-1j * e * t) / lam - 1j * forward)
+    sign = 1.0 if cls is StateClass.RESONANT else -1.0
+    p = 1j * sign * e  # the kernel e^{-p t'} decays: Re p = |Im E| > 0
+    s = abs(t)
+    if abs(e.imag) * s <= 5.0:
+        # Laplace transform of J1(2bt)/t minus its part up to s
+        laplace = (np.sqrt(p * p + 4.0 * b * b) - p) / (2.0 * b)
+        head = _cquad(lambda u: np.exp(-p * u) * _j1_over_t(b, u), 0.0, s)
+        tail = np.exp(p * s) * (laplace - head)
+    else:
+        # the envelope e^{-|Im E|(t' - s)} is below e^-40 past the cut
+        tail = _cquad(lambda u: np.exp(-p * (u - s)) * _j1_over_t(b, u),
+                      s, s + 40.0 / abs(e.imag))
+    return -1j * sign * weight * tail
+
+
+def _check_against_scipy(spectrum, grid, sample, weights=None):
+    values = amplitude_grid(spectrum, grid, weights)
+    if weights is None:
+        weights = [s.weight_w for s in spectrum.states]
+    b = spectrum.params.b
+    tol = DEFAULT_TOLERANCES
+    covered = set()
+    for i in sample:
+        t = float(grid[i])
+        for n, state in enumerate(spectrum.states):
+            ref = reference_chi(b, state, weights[n], t)
+            bound = max(tol.abs_tol, tol.rel_tol * abs(ref))
+            err = abs(values[n, i] - ref)
+            assert err <= bound, (
+                f"{state.state_class.value} at t={t}: {values[n, i]} vs {ref}")
+            if t != 0.0:
+                covered.add((n, t > 0))
+    return covered
+
+
+def test_fig9_grid_against_scipy(fig9_spectrum):
+    grid = np.linspace(-4.0, 8.0, 481)
+    sample = list(range(0, 481, 40)) + [480]
+    covered = _check_against_scipy(fig9_spectrum, grid, sample)
+    assert len(covered) == 8  # all four states at both signs of t
+
+
+def test_fig9_theta_weights_against_scipy(fig9_spectrum):
+    grid = np.linspace(-4.0, 8.0, 481)
+    weights = theta_weights(fig9_spectrum, ThetaState(np.pi / 2))
+    _check_against_scipy(fig9_spectrum, grid, [0, 100, 160, 200, 300, 480],
+                         weights)
+
+
+def test_fig8b_long_grid_against_scipy(fig9_spectrum):
+    grid = np.linspace(0.0, 500.0, 251)
+    both = np.concatenate((grid, -grid))  # the grid a ratio run evaluates
+    sample = [1, 50, 250, 252, 301, 501]  # t = 2, 100, 500 and their mirrors
+    covered = _check_against_scipy(fig9_spectrum, both, sample)
+    assert len(covered) == 8
+
+
+def test_near_ep_grid_against_scipy():
+    spectrum = discrete_spectrum(NEAR_EP_PARAMS)
+    assert abs(spectrum.resonant().energy.imag) < 1e-3
+    grid = np.linspace(0.0, 20.0, 401)
+    both = np.concatenate((grid, -grid))
+    sample = [5, 100, 400, 406, 501, 801]
+    covered = _check_against_scipy(spectrum, both, sample)
+    assert len(covered) == 8
+
+
+def test_value_does_not_depend_on_grid_shape(fig9_spectrum):
+    grid = np.linspace(-10.0, 10.0, 401)
+    values = amplitude_grid(fig9_spectrum, grid)
+    for i in (0, 37, 200, 233, 400):
+        alone = amplitude_grid(fig9_spectrum, [grid[i]])[:, 0]
+        assert np.max(np.abs(values[:, i] - alone)) <= 1e-12, f"t={grid[i]}"
+
+
+def test_theta_total_is_sum_of_components(fig9_spectrum):
+    th = ThetaState(0.9)
+    for t in (-3.0, 0.0, 2.5):
+        parts = [theta_amplitude(fig9_spectrum, th, n, t)
+                 for n in range(len(fig9_spectrum.states))]
+        assert theta_amplitude(fig9_spectrum, th, "total", t) == sum(parts)
+
+
+def test_quadrature_failure_names_the_series(tmp_path, capsys):
+    cfg = tmp_path / "ratio.cfg"
+    cfg.write_text("""
+[run]
+schema_version = 1
+model = tdot
+command = ratio
+
+[params]
+b = 1.0
+eps1 = 0.2
+eps2 = 0.0
+g = 0.4
+t2l = 1.0
+t2r = 1.0
+
+[time]
+t_min = 0.0
+t_max = 2.0
+n_points = 3
+
+[tolerances]
+abs_tol = 1e-300
+rel_tol = 1e-300
+""")
+    rc = main(["ratio", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] in ("ToleranceNotMet", "MaxSubdivisions")
+    message = err["message"]
+    assert "resonant state" in message
+    assert "E = 0.1996" in message
+    assert "t in [" in message
+
+
+@pytest.mark.parametrize("bad", [np.array([[0.0, 1.0]]), np.array([0.0, np.nan])])
+def test_grid_validation(fig9_spectrum, bad):
+    with pytest.raises(DomainError):
+        amplitude_grid(fig9_spectrum, bad)
