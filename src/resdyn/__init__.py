@@ -21,7 +21,6 @@ from .friedrichs import (
 )
 from .lattice import (
     AmplitudeSeries,
-    BrillouinPoint,
     DiscreteState,
     Representation,
     Spectrum,
@@ -51,7 +50,6 @@ from .oracle import PropagationResult, TruncatedLattice, build_hamiltonian, prop
 
 __all__ = [
     "AmplitudeSeries",
-    "BrillouinPoint",
     "DiscreteState",
     "FriedrichsParams",
     "FriedrichsPoles",

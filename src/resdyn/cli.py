@@ -304,86 +304,82 @@ def _component_labels(spectrum):
     return labels
 
 
-def _tdot_survival_rows(config, times):
+def _tdot_series(config, times):
+    """The T-dot total amplitude and the named series its options ask for."""
     spectrum = lat.discrete_spectrum(config.params)
     tol = config.tolerances
     theta_raw = config.options["theta"]
-    labels = _component_labels(spectrum)
-
     theta = None if theta_raw == "none" else lat.ThetaState(float(theta_raw))
     weights = None if theta is None else lat.theta_weights(spectrum, theta)
     chi = ()
     if theta is not None or config.options["components"]:
         chi = lat.amplitude_grid(spectrum, times, weights, tol=tol)
     if theta is None:
-        total = [lat.survival_direct(config.params, t, tol=tol, spectrum=spectrum)
-                 for t in times]
-        series = [lat.AmplitudeSeries(times, total,
-                                      lat.Representation.DIRECT_CONTOUR)]
+        total = lat.AmplitudeSeries(
+            times, lat.survival_direct(config.params, times, tol=tol,
+                                       spectrum=spectrum),
+            lat.Representation.DIRECT_CONTOUR)
     else:
-        series = [lat.AmplitudeSeries(times, sum(chi),
-                                      lat.Representation.BESSEL_COMPONENT_SUM)]
+        total = lat.AmplitudeSeries(times, sum(chi),
+                                    lat.Representation.BESSEL_COMPONENT_SUM)
+    series = []
     if config.options["components"]:
-        for row, name in zip(chi, labels):
+        for row, name in zip(chi, _component_labels(spectrum)):
             series.append(lat.AmplitudeSeries(
                 times, row, lat.Representation.BESSEL_COMPONENT_SUM,
-                component=name))
+                component="chi_" + name))
     if config.options["isolated_residue"]:
         series.append(lat.AmplitudeSeries(
-            times, [lat.isolated_residue_amplitude(spectrum, t) for t in times],
+            times, lat.isolated_residue_amplitude(spectrum, times),
             lat.Representation.ISOLATED_RESIDUE, component="xi_res"))
-
-    header = ["t", "re_a", "im_a", "abs2_a"]
-    for s in series[1:]:
-        tag = "chi_" + s.component if s.component != "xi_res" else s.component
-        header += [f"re_{tag}", f"im_{tag}"]
+    real = {}
     if config.options["short_time"]:
-        header += ["p_short"]
-
-    rows = []
-    for i, t in enumerate(times):
-        a = series[0].values[i]
-        row = [fmt(t), fmt(a.real), fmt(a.imag), fmt(abs(a) ** 2)]
-        for s in series[1:]:
-            row += [fmt(s.values[i].real), fmt(s.values[i].imag)]
-        if config.options["short_time"]:
-            row += [fmt(lat.short_time_resonant_prob(spectrum, t))]
-        rows.append(tuple(row))
-    return header, rows
+        real["p_short"] = lat.short_time_resonant_prob(spectrum, times)
+    return total, series, real
 
 
-def _friedrichs_survival_rows(config, times):
+def _friedrichs_series(config, times):
+    """The Friedrichs total amplitude and, on request, its cut components."""
     poles = fm.friedrichs_poles(config.params)
     tol = config.tolerances
-    series = [lat.AmplitudeSeries(
-        times, [fm.survival_total(config.params, t, tol=tol, poles=poles)
-                for t in times],
-        lat.Representation.DIRECT_CONTOUR)]
-    header = ["t", "re_a", "im_a", "abs2_a"]
+    total = lat.AmplitudeSeries(
+        times, fm.survival_total(config.params, times, tol=tol, poles=poles),
+        lat.Representation.DIRECT_CONTOUR)
+    series = []
     if config.options["components"]:
         for name in ("B", "R", "AR"):
             series.append(lat.AmplitudeSeries(
-                times, [fm.a_component(config.params, name, t, tol=tol,
-                                       poles=poles) for t in times],
-                lat.Representation.BESSEL_COMPONENT_SUM, component=name))
-            header += [f"re_a_{name}", f"im_a_{name}"]
+                times, fm.a_component(config.params, name, times, tol=tol,
+                                      poles=poles),
+                lat.Representation.BESSEL_COMPONENT_SUM, component="a_" + name))
+    return total, series, {}
+
+
+def _survival_rows(config, times):
+    """Header and rows of a survival table: t, the total amplitude and
+    |A|^2, a re/im column pair per named series, then the real columns."""
+    model_series = (_friedrichs_series if config.model == "friedrichs"
+                    else _tdot_series)
+    total, series, real = model_series(config, times)
+    header = ["t", "re_a", "im_a", "abs2_a"]
+    for s in series:
+        header += [f"re_{s.component}", f"im_{s.component}"]
+    header += list(real)
     rows = []
     for i, t in enumerate(times):
-        a = series[0].values[i]
+        a = total.values[i]
         row = [fmt(t), fmt(a.real), fmt(a.imag), fmt(abs(a) ** 2)]
-        for s in series[1:]:
+        for s in series:
             row += [fmt(s.values[i].real), fmt(s.values[i].imag)]
+        row += [fmt(col[i]) for col in real.values()]
         rows.append(tuple(row))
     return header, rows
 
 
 def cmd_survival(config, args):
     times = config.time_grid.values()
-    builder = (_friedrichs_survival_rows if config.model == "friedrichs"
-               else _tdot_survival_rows)
-
     if config.sweep is None:
-        header, rows = builder(config, times)
+        header, rows = _survival_rows(config, times)
         _write_text(args.out, _csv_document(header, rows))
         return _EXIT_OK
 
@@ -391,7 +387,7 @@ def cmd_survival(config, args):
         params = _replace_param(config.params, config.sweep.parameter, float(value))
         sub = RunConfig(config.model, config.command, params, config.time_grid,
                         config.tolerances, config.out_format, None, config.options)
-        return builder(sub, times)
+        return _survival_rows(sub, times)
 
     results = _sweep_map(one, config.sweep.values(), _thread_count(args))
     header = (config.sweep.parameter,) + tuple(results[0][0])
@@ -487,10 +483,9 @@ def cmd_oracle_check(config, args):
     prop = orc.propagate(lattice, "d1", times, want_d2=True)
     a11 = np.array(prop.amplitudes["d1"])
     a21 = np.array(prop.amplitudes["d2"])
-    dev = max(abs(lat.survival_direct(config.params, t, tol=config.tolerances,
-                                      spectrum=spectrum) - a)
-              for t, a in zip(times, a11))
-    report["deviations"]["d1"] = dev
+    direct = lat.survival_direct(config.params, times, tol=config.tolerances,
+                                 spectrum=spectrum)
+    report["deviations"]["d1"] = float(np.max(np.abs(direct - a11)))
     raw = config.options["oracle_thetas"]
     for tok in filter(None, (s.strip() for s in raw.split(","))):
         theta = lat.ThetaState(float(tok))

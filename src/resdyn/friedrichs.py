@@ -30,7 +30,13 @@ from .kernel import (
     poly_roots,
     sqrt_poscut,
 )
-from .lattice import DEFAULT_TOLERANCES
+from .lattice import (
+    DEFAULT_TOLERANCES,
+    _grid_quad,
+    _octave_groups,
+    _quadrature_context,
+    _time_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -195,39 +201,47 @@ def friedrichs_poles(params):
 # quadrature of the cut integral and of single-pole components
 
 
-def _tail_rotated(f_of_e, e0, t, tol):
-    """integral_{e0}^inf f(E) e^{-iEt} dE by rotating the ray into the
-    decaying half-plane (downward for t > 0, upward for t < 0).
+def _tail_rotated(f_of_e, e0, times, tol, what):
+    """integral_{e0}^inf f(E) e^{-iEt} dE for a group of times of one sign,
+    by rotating the ray into the decaying half-plane (downward for t > 0,
+    upward for t < 0); t = 0 comes as a group of its own.
 
     f_of_e must be analytic and power-decaying in the swept quadrant; the
-    rotation point e0 must exceed the real parts of all its poles.
+    rotation point e0 must exceed the real parts of all its poles.  The
+    group shares the panel edges of its largest |t|, continued out to the
+    cutoff of its smallest.
     """
-    if t == 0.0:
+    if times[0] == 0.0:
         # no oscillation: map E = e0/s onto s in (0, 1]
         def mapped(s):
             e = e0 / s
             return f_of_e(e.astype(complex)) * e0 / s ** 2
 
-        res = adaptive_quad(mapped, 0.0, 1.0, abs_tol=tol.abs_tol,
-                            rel_tol=tol.rel_tol, open_interval=True)
-        return res.value
-    direction = -1j if t > 0 else 1j
-    x_cut = (np.log(1.0 / tol.abs_tol) + 8.0) / abs(t)
+        with _quadrature_context(what, 0.0, 0.0, tol):
+            res = adaptive_quad(mapped, 0.0, 1.0, abs_tol=tol.abs_tol,
+                                rel_tol=tol.rel_tol, open_interval=True)
+        return np.full(len(times), res.value)
+    direction = -1j if times[0] > 0 else 1j
+    t_lo, t_hi = np.abs(times).min(), np.abs(times).max()
+    reach = np.log(1.0 / tol.abs_tol) + 8.0  # e^{-reach} below abs_tol
+    x_cut = reach / t_lo
     pts = [0.0]
-    step = min(1.0 / abs(t), x_cut / 4.0)
+    step = min(1.0 / t_hi, reach / t_hi / 4.0)
     x = step
     while x < x_cut:
         pts.append(x)
         x *= 4.0
     pts.append(x_cut)
 
-    def integrand(x):
-        e = e0 + direction * x
-        return f_of_e(e) * np.exp(-1j * e * t) * direction
+    def integrand(tc):
+        def f(x):
+            e = e0 + direction * x
+            return (f_of_e(e)[:, None] * np.exp((-1j * e)[:, None] * tc[None, :])
+                    * direction)
 
-    res = piecewise_quad(integrand, np.array(pts), abs_tol=tol.abs_tol,
-                         rel_tol=tol.rel_tol)
-    return res.value
+        return f
+
+    return _grid_quad(integrand, np.array(pts), times, tol, what)
 
 
 def _cut_main_breakpoints(u0, t, special_u):
@@ -252,29 +266,42 @@ def a_cut_direct(params, t, tol=DEFAULT_TOLERANCES, poles=None):
     substitution u = sqrt(E) removes the endpoint singularity and the chirp
     e^{-i u^2 t} is split at half-period points, beyond it the contour is
     rotated into the decaying half-plane.
+
+    ``t`` is a time or a 1-d grid (a grid gives an array).  Only the phases
+    e^{-iu^2 t} and e^{-iEt} depend on t, so the times are grouped by sign
+    and octave of |t|, t = 0 alone, and each group is one vector-valued
+    quadrature on the panel edges its largest |t| needs.
     """
+    times, scalar = _time_grid(t)
     p = poles if poles is not None else friedrichs_poles(params)
-    beta, g = params.beta, params.g
+    beta = params.beta
     e0 = max(50.0 * beta, 50.0 * abs(p.e_res), 10.0 * abs(params.omega1), 10.0)
     u0 = np.sqrt(e0)
-    t = float(t)
-
-    def integrand_u(u):
-        e = (u * u).astype(complex)
-        rat = cut_integrand_rational(params, e)
-        return 2.0 * np.sqrt(beta) * u * u * rat * np.exp(-1j * e.real * t)
-
     u_res = float(np.sqrt(p.e_res).real)
-    pts = _cut_main_breakpoints(u0, t, (u_res - 0.2, u_res, u_res + 0.2,
-                                        np.sqrt(beta)))
-    main = piecewise_quad(integrand_u, pts, abs_tol=tol.abs_tol,
-                          rel_tol=tol.rel_tol)
+    special_u = (u_res - 0.2, u_res, u_res + 0.2, np.sqrt(beta))
+
+    def main_integrand(tc):
+        def f(u):
+            e = (u * u).astype(complex)
+            rat = cut_integrand_rational(params, e)
+            weight = 2.0 * np.sqrt(beta) * u * u * rat
+            return weight[:, None] * np.exp((-1j * e.real)[:, None] * tc[None, :])
+
+        return f
 
     def f_tail(e):
         return np.sqrt(beta * e) * cut_integrand_rational(params, e)
 
-    tail = _tail_rotated(f_tail, e0, t, tol)
-    return main.value + tail
+    groups = [np.flatnonzero(times == 0.0)]
+    for side in (np.flatnonzero(times > 0.0), np.flatnonzero(times < 0.0)):
+        groups += [side[g] for g in _octave_groups(np.abs(times[side]))]
+    out = np.empty(len(times), dtype=complex)
+    for idx in filter(len, groups):
+        tg = times[idx]
+        pts = _cut_main_breakpoints(u0, np.abs(tg).max(), special_u)
+        out[idx] = (_grid_quad(main_integrand, pts, tg, tol, "Friedrichs cut main")
+                    + _tail_rotated(f_tail, e0, tg, tol, "Friedrichs cut tail"))
+    return complex(out[0]) if scalar else out
 
 
 def _fm6_component_quad(params, energy, weight, t, tol):
@@ -293,18 +320,20 @@ def _fm6_component_quad(params, energy, weight, t, tol):
 
     u_res = float(np.sqrt(energy).real) if energy.real > 0 else -1.0
     pts = _cut_main_breakpoints(u0, t, (u_res - 0.2, u_res, u_res + 0.2))
-    main = piecewise_quad(integrand_u, pts, abs_tol=tol.abs_tol,
-                          rel_tol=tol.rel_tol)
+    with _quadrature_context("single-pole cut component main", t, t, tol):
+        main = piecewise_quad(integrand_u, pts, abs_tol=tol.abs_tol,
+                              rel_tol=tol.rel_tol)
 
     def f_tail(e):
         return np.sqrt(beta * e) / (e - energy)
 
-    tail = _tail_rotated(f_tail, e0, t, tol)
+    tail = _tail_rotated(f_tail, e0, np.array([t]), tol,
+                         "single-pole cut component tail")[0]
     return weight * (main.value + tail)
 
 
 def _fm7_value(beta, weight, energy, t, sign_root_e, sign_erfc):
-    term1 = np.sqrt(np.pi / (1j * t))
+    term1 = np.sqrt(-1j * (np.pi / t))  # sqrt(pi/(it)), rounded once
     zeta = 1j * np.sqrt(1j * energy * t)
     term2 = (np.pi * 1j * sign_root_e * np.sqrt(energy)
              * np.exp(-1j * t * energy)
@@ -353,18 +382,23 @@ def _pole_by_label(poles, n):
 def a_component(params, n, t, tol=DEFAULT_TOLERANCES, poles=None):
     """Closed-form single-pole cut component A_n(t) via erfc.
 
-    The square-root branches are fixed against the defining integral at two
-    small times per (parameter set, pole, time sign) and cached; t = 0 is
-    rejected because individual components diverge there.
+    ``t`` is a time or a 1-d grid (a grid gives an array).  The square-root
+    branches are fixed against the defining integral at two small times per
+    (parameter set, pole, time sign) and cached; t = 0 is rejected because
+    individual components diverge there.
     """
-    t = float(t)
-    if t == 0.0:
+    times, scalar = _time_grid(t)
+    if np.any(times == 0.0):
         raise DomainError("single cut components diverge at t = 0")
     p = poles if poles is not None else friedrichs_poles(params)
     energy, weight = _pole_by_label(p, n)
-    t_sign = 1 if t > 0 else -1
-    sa, sb = _branch_signs(params, n, energy, weight, t_sign, tol)
-    return _fm7_value(params.beta, weight, energy, t, sa, sb)
+    out = np.empty(len(times), dtype=complex)
+    for t_sign, side in ((1, times > 0.0), (-1, times < 0.0)):
+        if side.any():
+            sa, sb = _branch_signs(params, n, energy, weight, t_sign, tol)
+            out[side] = _fm7_value(params.beta, weight, energy, times[side],
+                                   sa, sb)
+    return complex(out[0]) if scalar else out
 
 
 _ASYMPTOTIC_SIGN_CACHE = {}
@@ -401,7 +435,10 @@ def a_component_asymptotic(params, t, tol=DEFAULT_TOLERANCES, poles=None):
 
 
 def survival_total(params, t, tol=DEFAULT_TOLERANCES, poles=None):
-    """A(t): bound-state term plus the branch-cut integral."""
+    """A(t): bound-state term plus the branch-cut integral; ``t`` is a time
+    or a 1-d grid (a grid gives an array)."""
+    times, scalar = _time_grid(t)
     p = poles if poles is not None else friedrichs_poles(params)
-    bound = p.bound_residue * np.exp(-1j * p.e_bound * t)
-    return bound + a_cut_direct(params, t, tol=tol, poles=p)
+    bound = p.bound_residue * np.exp(-1j * p.e_bound * times)
+    total = bound + a_cut_direct(params, times, tol=tol, poles=p)
+    return complex(total[0]) if scalar else total

@@ -3,7 +3,6 @@
 from .quadrature import (
     QuadratureResult,
     adaptive_quad,
-    breakpoints_with_period,
     piecewise_quad,
 )
 from .roots import Polynomial, poly_roots
@@ -14,7 +13,6 @@ __all__ = [
     "QuadratureResult",
     "adaptive_quad",
     "bessel_j1",
-    "breakpoints_with_period",
     "erfc_complex",
     "piecewise_quad",
     "poly_roots",

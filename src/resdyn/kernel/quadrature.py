@@ -1,14 +1,15 @@
 """Adaptive Gauss-Kronrod (G7/K15) integration for complex-valued integrands.
 
 Integrands must be vectorized: they receive a float ndarray of abscissae and
-return an ndarray of complex values.  Node placement never touches interval
-endpoints, so integrable endpoint behavior is tolerated when the caller
-declares it via ``open_interval``.
+return an ndarray of complex values, one per abscissa, or one row of m
+values per abscissa for a vector-valued integrand (cf. QUADPACK, Piessens
+et al. 1983, and ``scipy.integrate.quad_vec``).  Node placement never
+touches interval endpoints, so integrable endpoint behavior is tolerated
+when the caller declares it via ``open_interval``.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,12 @@ _EPS = np.finfo(float).eps
 class QuadratureResult:
     """Value, conservative absolute-error estimate and evaluation count.
 
-    ``panels`` holds the converged leaf panels as (lo, hi, value) arrays
-    sorted by lo; their values add up to ``value`` up to rounding.
+    A vector-valued integrand (one returning an ``(n_nodes, m)`` array) gets
+    length-m value and error arrays, one entry per column.  ``panels`` holds
+    the converged leaf panels as (lo, hi, values) arrays sorted by lo, with
+    values of shape (n_panels,), or (m, n_panels) for a vector integrand;
+    they add up to ``value`` up to rounding.  ``evaluations`` counts
+    abscissae, whatever m is.
     """
 
     value: complex
@@ -66,80 +71,125 @@ class QuadratureResult:
     panels: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.abs_error_estimate < 0 or self.evaluations < 1:
+        if np.any(np.asarray(self.abs_error_estimate) < 0) or self.evaluations < 1:
             raise DomainError("malformed quadrature result")
 
 
 def _gk15_batch(f, lo, hi):
     """G7/K15 on a batch of panels with one integrand call.
 
-    Returns (values, errors) arrays; errors follow the QUADPACK rescaling,
-    which is conservative on smooth integrands.
+    Returns (values, errors) arrays of shape (n_panels,), or (m, n_panels)
+    when ``f`` returns one row of m values per abscissa; errors follow the
+    QUADPACK rescaling, which is conservative on smooth integrands.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    fx = np.asarray(f(x), dtype=complex).reshape(len(lo), 15)
+    width = hi - lo
+    half = 0.5 * width
+    abs_half = np.abs(half)
+    x = ((0.5 * (hi + lo))[:, None] + half[:, None] * _NODES).ravel()
+    fx = np.asarray(f(x), dtype=complex)
+    # panels x nodes, with one leading row of panels per column of a vector
+    # integrand: each panel's 15 nodes stay contiguous, so every column is
+    # summed exactly as the same scalar integrand would be
+    fx = (fx.reshape(len(lo), 15) if fx.ndim == 1
+          else fx.T.reshape(-1, len(lo), 15))
     # elementwise products, not `@`: these small BLAS calls keep the BLAS
     # thread pool spinning, costing CPU time for no measurable wall time
-    resk = half * (fx * _WK).sum(axis=1)
-    resg = half * (fx * _WG_FULL).sum(axis=1)
-    resabs = np.abs(half) * (np.abs(fx) * _WK).sum(axis=1)
-    mean = resk / (hi - lo)
-    resasc = np.abs(half) * (np.abs(fx - mean[:, None]) * _WK).sum(axis=1)
+    add = np.add.reduce
+    resk = half * add(fx * _WK, axis=-1)
+    resg = half * add(fx * _WG_FULL, axis=-1)
+    resabs = abs_half * add(np.abs(fx) * _WK, axis=-1)
+    mean = resk / width
+    resasc = abs_half * add(np.abs(fx - mean[..., None]) * _WK, axis=-1)
     err = np.abs(resk - resg)
+    rescale = (resasc > 0.0) & (err > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(resasc > 0.0,
-                          resasc * np.minimum(1.0, (200.0 * err
-                                                    / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-                          err)
-    err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
+        err = np.where(rescale,
+                       resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5),
+                       err)
     err = np.maximum(err, 50.0 * _EPS * resabs)
     return resk, err
 
 
+def _grown(a, cap):
+    """``a`` copied into a buffer of ``cap`` entries along its last axis."""
+    out = np.empty(a.shape[:-1] + (cap,), dtype=a.dtype)
+    out[..., :a.shape[-1]] = a
+    return out
+
+
 def _refine(f, pts, abs_tol, rel_tol, max_subdivisions):
-    """Global-error-driven refinement seeded with the given panel edges."""
-    values, errors = _gk15_batch(f, pts[:-1], pts[1:])
-    n_eval = 15 * (len(pts) - 1)
-    heap = []
-    seq = 0
-    for lo, hi, v, e in zip(pts[:-1], pts[1:], values, errors):
-        heapq.heappush(heap, (-e, seq, lo, hi, v, e))
-        seq += 1
-    total_value = complex(values.sum())
-    total_err = float(errors.sum())
-    splits = 0
+    """Global-error-driven refinement seeded with the given panel edges.
 
-    while total_err > max(abs_tol, rel_tol * abs(total_value)):
-        if splits >= max_subdivisions:
+    Column j of a vector integrand is done once its summed error is at most
+    max(abs_tol, rel_tol*|value_j|).  Each round splits the largest-error
+    panel of every column not yet done, each panel once, so a scalar
+    integrand is refined one panel at a time: largest error first, ties to
+    the oldest panel.  ``max_subdivisions`` bounds the number of rounds.
+    """
+    first_values, first_errors = _gk15_batch(f, pts[:-1], pts[1:])
+    scalar = first_values.ndim == 1
+    n = len(pts) - 1
+    lo, hi = pts[:-1].tolist(), pts[1:].tolist()
+    # one row per column; a split panel's error becomes -inf
+    values = _grown(first_values.reshape(-1, n), 2 * n + 64)
+    live = _grown(first_errors.reshape(-1, n), 2 * n + 64)
+    n_eval = 15 * n
+    total_value = values[:, :n].sum(axis=1)
+    total_err = live[:, :n].sum(axis=1)
+    rounds = 0
+
+    def result(panels=None):
+        if scalar:
+            return QuadratureResult(complex(total_value[0]),
+                                    float(total_err[0]), n_eval, panels)
+        return QuadratureResult(total_value.copy(), total_err.copy(), n_eval,
+                                panels)
+
+    while True:
+        failing = total_err > np.maximum(abs_tol, rel_tol * np.abs(total_value))
+        worst = live[failing, :n].argmax(axis=1)
+        if not len(worst):
+            break
+        if rounds >= max_subdivisions:
             raise ToleranceNotMet(
-                f"error estimate {total_err:.3e} above tolerance after "
-                f"{splits} subdivisions",
-                result=QuadratureResult(total_value, total_err, n_eval),
-            )
-        _, _, sa, sb, sval, serr = heapq.heappop(heap)
-        sm = 0.5 * (sa + sb)
-        if sm - sa <= abs(sm) * _EPS * 4 or sb - sm <= abs(sm) * _EPS * 4:
-            raise MaxSubdivisions(
-                "subinterval reached machine width",
-                result=QuadratureResult(total_value, total_err, n_eval),
-            )
-        (v1, v2), (e1, e2) = _gk15_batch(f, np.array([sa, sm]),
-                                         np.array([sm, sb]))
-        n_eval += 30
-        total_value += v1 + v2 - sval
-        total_err += e1 + e2 - serr
-        heapq.heappush(heap, (-e1, seq, sa, sm, v1, e1))
-        heapq.heappush(heap, (-e2, seq + 1, sm, sb, v2, e2))
-        seq += 2
-        splits += 1
+                f"error estimate {total_err[failing].max():.3e} above "
+                f"tolerance after {rounds} subdivisions", result=result())
+        if len(worst) > 1:
+            worst = np.unique(worst)
+        split = worst.tolist()
+        mids = [0.5 * (lo[i] + hi[i]) for i in split]
+        for i, sm in zip(split, mids):
+            tiny = abs(sm) * _EPS * 4
+            if sm - lo[i] <= tiny or hi[i] - sm <= tiny:
+                raise MaxSubdivisions("subinterval reached machine width",
+                                      result=result())
+        # left halves, then right halves, each in split order
+        new_lo = [lo[i] for i in split] + mids
+        new_hi = mids + [hi[i] for i in split]
+        k = len(split)
+        v, e = _gk15_batch(f, new_lo, new_hi)
+        n_eval += 30 * k
+        total_value += np.add.reduce(v[..., :k] + v[..., k:] - values[:, worst],
+                                     axis=1)
+        total_err += np.add.reduce(e[..., :k] + e[..., k:] - live[:, worst],
+                                   axis=1)
+        live[:, worst] = -np.inf
+        end = n + 2 * k
+        if end > values.shape[1]:
+            values, live = (_grown(a[:, :n], 2 * end) for a in (values, live))
+        values[:, n:end], live[:, n:end] = v, e
+        lo += new_lo
+        hi += new_hi
+        n = end
+        rounds += 1
 
-    heap.sort(key=lambda leaf: leaf[2])
-    panels = tuple(np.array(col) for col in zip(*(leaf[2:5] for leaf in heap)))
-    return QuadratureResult(total_value, total_err, n_eval, panels)
+    lo, hi = np.array(lo), np.array(hi)
+    keep = np.flatnonzero(live[0, :n] != -np.inf)
+    keep = keep[np.argsort(lo[keep], kind="stable")]
+    leaf_values = values[:, keep]
+    return result((lo[keep], hi[keep], leaf_values[0] if scalar else leaf_values))
 
 
 def adaptive_quad(f, a, b, abs_tol=1e-10, rel_tol=1e-8,
@@ -167,7 +217,8 @@ def piecewise_quad(f, breakpoints, abs_tol=1e-10, rel_tol=1e-8,
     All first-pass panels are evaluated in a single vectorized integrand
     call; refinement then drives the summed error below
     max(abs_tol, rel_tol*|total|), so oscillatory cancellation between
-    panels is accounted for globally.
+    panels is accounted for globally.  A vector-valued ``f`` is refined
+    until every column meets that bound for its own total.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 1 or len(pts) < 2 or np.any(np.diff(pts) <= 0):
@@ -178,16 +229,3 @@ def piecewise_quad(f, breakpoints, abs_tol=1e-10, rel_tol=1e-8,
         raise DomainError("tolerances must be positive")
     return _refine(f, pts, abs_tol, rel_tol, max_subdivisions)
 
-
-def breakpoints_with_period(a, b, period, extra=()):
-    """Panel edges for [a, b]: multiples of ``period`` plus caller extras."""
-    if not (b > a) or period <= 0:
-        raise DomainError("need b > a and period > 0")
-    k_lo = int(np.ceil(a / period))
-    k_hi = int(np.floor(b / period))
-    pts = {a, b}
-    pts.update(k * period for k in range(k_lo, k_hi + 1))
-    pts.update(p for p in extra if a < p < b)
-    out = np.array(sorted(pts))
-    keep = np.concatenate(([True], np.diff(out) > 1e-14 * max(abs(a), abs(b), 1.0)))
-    return out[keep]

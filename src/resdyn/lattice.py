@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,27 +79,6 @@ class TDotParams:
         return (self.t2l ** 2 + self.t2r ** 2) / self.b
 
 
-@dataclass(frozen=True)
-class BrillouinPoint:
-    """A wave number in (-pi, pi] with its band energy E_k = -2b cos k."""
-
-    k: float
-    energy: float
-
-    def __post_init__(self):
-        if not (-np.pi < self.k <= np.pi):
-            raise DomainError("wave number outside the first Brillouin zone")
-
-    @classmethod
-    def from_wavenumber(cls, k, b):
-        return cls(float(k), -2.0 * b * np.cos(k))
-
-    @property
-    def lam(self):
-        """The unit-circle coordinate e^{ik} of the contour integrals."""
-        return complex(np.exp(1j * self.k))
-
-
 class StateClass(enum.Enum):
     BOUND = "bound"
     ANTI_BOUND = "anti-bound"
@@ -109,10 +89,7 @@ class StateClass(enum.Enum):
 class Representation(enum.Enum):
     DIRECT_CONTOUR = "direct-contour"
     BESSEL_COMPONENT_SUM = "bessel-component-sum"
-    ORACLE = "oracle"
     ISOLATED_RESIDUE = "isolated-residue"
-    SHORT_TIME = "short-time"
-    LONG_TIME_ASYMPTOTIC = "long-time-asymptotic"
 
 
 @dataclass(frozen=True)
@@ -306,6 +283,62 @@ def discrete_spectrum(params, root_tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# Time grids and vector-valued quadrature shared with the Friedrichs model
+
+# integrand values (complex) per first pass of one vector-valued quadrature
+_BLOCK = 1 << 18
+
+
+def _time_grid(t):
+    """(grid, scalar): a time or a finite 1-d grid of times as a float array."""
+    t = np.asarray(t, dtype=float)
+    grid = t.reshape(-1)
+    if t.ndim > 1 or not np.all(np.isfinite(grid)):
+        raise DomainError("t must be a finite time or a finite 1-d grid")
+    return grid, t.ndim == 0
+
+
+def _octave_groups(scale):
+    """Index arrays of the entries of ``scale`` (> 0) that share an octave
+    (2^(k-1), 2^k], ascending in scale within each group."""
+    if not len(scale):
+        return []
+    order = np.argsort(scale, kind="stable")
+    octave = np.ceil(np.log2(scale[order]))
+    return np.split(order, np.flatnonzero(np.diff(octave)) + 1)
+
+
+@contextmanager
+def _quadrature_context(what, t_lo, t_hi, tol):
+    """Re-raise a quadrature failure with the same type and result, naming
+    the series, its span of times and the tolerance."""
+    try:
+        yield
+    except QuadratureError as exc:
+        raise type(exc)(
+            f"{what} over t in [{t_lo:g}, {t_hi:g}] (abs_tol {tol.abs_tol:g}, "
+            f"rel_tol {tol.rel_tol:g}): {exc}", result=exc.result) from exc
+
+
+def _grid_quad(integrand, pts, times, tol, what):
+    """integral over the panels ``pts`` of integrand(times)(x), an
+    (n_nodes, len(times)) array, for every time at once.
+
+    Times go in chunks that keep a first pass's nodes x times block near
+    _BLOCK values; each chunk is one vector-valued quadrature.
+    """
+    width = max(1, _BLOCK // (15 * (len(pts) - 1)))
+    out = np.empty(len(times), dtype=complex)
+    for start in range(0, len(times), width):
+        chunk = times[start:start + width]
+        with _quadrature_context(what, chunk.min(), chunk.max(), tol):
+            out[start:start + width] = piecewise_quad(
+                integrand(chunk), pts, abs_tol=tol.abs_tol,
+                rel_tol=tol.rel_tol).value
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Bessel-integral engines shared by the component amplitudes
 
 
@@ -494,15 +527,12 @@ def amplitude_grid(spectrum, times, weights=None, tol=DEFAULT_TOLERANCES):
             kind, energy = key
             s = np.unique(np.abs(np.concatenate(chunks)))
             engine = _tail_grid if kind == "tail" else _forward_grid
-            try:
-                grids[key] = (s, engine(spectrum.params.b, energy, s, tol))
-            except QuadratureError as exc:
-                lo, hi = sorted((sign * (s[0] if kind == "tail" else 0.0),
-                                 sign * s[-1]))
-                raise type(exc)(
+            lo, hi = sorted((sign * (s[0] if kind == "tail" else 0.0),
+                             sign * s[-1]))
+            with _quadrature_context(
                     f"{kind} integral of the {st.state_class.value} state "
-                    f"(E = {st.energy:.9g}) over t in [{lo:g}, {hi:g}]: {exc}",
-                    result=exc.result) from exc
+                    f"(E = {st.energy:.9g})", lo, hi, tol):
+                grids[key] = (s, engine(spectrum.params.b, energy, s, tol))
 
         def lookup(key, t):
             s, values = grids[key]
@@ -553,31 +583,46 @@ def theta_amplitude(spectrum, theta_state, n, t, tol=DEFAULT_TOLERANCES):
 def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     """A(t) = <d1|e^{-iHt}|d1> from bound-pole residues plus the unit-circle
     integral of the partial-fraction contour integrand.
+
+    ``t`` is a time or a 1-d grid (a grid gives an array).  Only the phase
+    e^{2ibt cos k} of the integrand depends on t, so the times are grouped
+    by octave of 2b|t| and each group is one vector-valued quadrature on
+    the panel edges its largest |t| needs; 2b|t| <= 8 is one group.
     """
+    times, scalar = _time_grid(t)
     s = spectrum if spectrum is not None else discrete_spectrum(params)
     b, g = params.b, params.g
     bound_sum = sum(
-        st.dyad_phi * np.exp(-1j * st.energy * t)
+        st.dyad_phi * np.exp(-1j * st.energy * times)
         for st in s.by_class(StateClass.BOUND)
     )
     lams = np.array([st.lam for st in s.states])
     w_big = np.array([st.weight_w * st.lam / (b * g * g) for st in s.states])
 
-    def integrand(k):
-        # scattering-state density on the band: at t = 0 this is the positive
-        # weight sum_a |<d1|phi_ka>|^2 / 2pi, which pins the overall sign
-        lam = np.exp(1j * k)
-        frac = (w_big[None, :] / (lam[:, None] - lams[None, :])).sum(axis=1)
-        return (b * g * g / np.pi) * 1j * np.sin(k) * np.exp(2j * b * t * np.cos(k)) * frac
+    def integrand(tc):
+        rate = 2j * b * tc
 
-    extra = []
-    for st in s.states:
-        if st.state_class in (StateClass.RESONANT, StateClass.ANTI_RESONANT):
-            extra.append(float(np.angle(st.lam)))
-    spacing = np.pi / max(8.0, 2.0 * b * abs(t))
-    pts = _period_breakpoints(-np.pi, np.pi, spacing, extra=extra)
-    circle = piecewise_quad(integrand, pts, abs_tol=tol.abs_tol, rel_tol=tol.rel_tol)
-    return bound_sum + circle.value
+        def f(k):
+            # scattering-state density on the band: at t = 0 this is the
+            # positive weight sum_a |<d1|phi_ka>|^2 / 2pi, which pins the sign
+            lam = np.exp(1j * k)
+            frac = (w_big[None, :] / (lam[:, None] - lams[None, :])).sum(axis=1)
+            density = (b * g * g / np.pi) * 1j * np.sin(k)
+            return (density[:, None] * np.exp(rate[None, :] * np.cos(k)[:, None])
+                    * frac[:, None])
+
+        return f
+
+    extra = [float(np.angle(st.lam)) for st in s.states
+             if st.state_class in (StateClass.RESONANT, StateClass.ANTI_RESONANT)]
+    circle = np.empty(len(times), dtype=complex)
+    for idx in _octave_groups(np.maximum(1.0, 2.0 * b * np.abs(times) / 8.0)):
+        tg = times[idx]
+        spacing = np.pi / max(8.0, 2.0 * b * np.abs(tg).max())
+        pts = _period_breakpoints(-np.pi, np.pi, spacing, extra=extra)
+        circle[idx] = _grid_quad(integrand, pts, tg, tol, "direct contour")
+    total = bound_sum + circle
+    return complex(total[0]) if scalar else total
 
 
 def isolated_residue_amplitude(spectrum, t):
@@ -585,9 +630,12 @@ def isolated_residue_amplitude(spectrum, t):
 
     This is the hand-isolated irreversible component; it grows without bound
     for t < 0, which is what the full component decomposition avoids.
+    ``t`` is a time or a 1-d grid.
     """
+    times, scalar = _time_grid(t)
     res = spectrum.resonant()
-    return res.dyad_phi * np.exp(-1j * res.energy * t)
+    out = res.dyad_phi * np.exp(-1j * res.energy * times)
+    return complex(out[0]) if scalar else out
 
 
 def ratio_r(spectrum, t, tol=DEFAULT_TOLERANCES):
@@ -595,8 +643,7 @@ def ratio_r(spectrum, t, tol=DEFAULT_TOLERANCES):
 
     ``t`` is a time or a 1-d grid; a grid is evaluated in one engine call.
     """
-    t = np.asarray(t, dtype=float)
-    grid = t.reshape(-1)
+    grid, scalar = _time_grid(t)
     idx = spectrum.states.index(spectrum.resonant())
     row = amplitude_grid(spectrum, np.concatenate((grid, -grid)), tol=tol)[idx]
     num, den = row[:len(grid)], row[len(grid):]
@@ -604,7 +651,7 @@ def ratio_r(spectrum, t, tol=DEFAULT_TOLERANCES):
         raise Underflow("resonant/anti-resonant amplitudes exceed the "
                         "representable dynamic range at this time")
     r = np.abs(num) ** 2 / np.abs(den) ** 2
-    return float(r[0]) if t.ndim == 0 else r
+    return float(r[0]) if scalar else r
 
 
 def zeno_time(spectrum):
@@ -627,13 +674,16 @@ def zeno_time(spectrum):
 
 
 def short_time_resonant_prob(spectrum, t):
-    """P_R(t) in the small-|t| approximation J1(2bt) ~ bt."""
+    """P_R(t) in the small-|t| approximation J1(2bt) ~ bt; ``t`` is a time
+    or a 1-d grid."""
+    times, scalar = _time_grid(t)
     res = spectrum.resonant()
     b = spectrum.params.b
     e_r, lam_r = res.energy, res.lam
     psi_prod = res.weight_w / lam_r
-    bracket = 1.0 - (b * lam_r / e_r) * (np.exp(1j * e_r * t) - 1.0)
-    return float(abs(psi_prod * np.exp(-1j * e_r * t) * bracket) ** 2)
+    bracket = 1.0 - (b * lam_r / e_r) * (np.exp(1j * e_r * times) - 1.0)
+    prob = np.abs(psi_prod * np.exp(-1j * e_r * times) * bracket) ** 2
+    return float(prob[0]) if scalar else prob
 
 
 def longtime_asymptotic(spectrum, t, sign=+1):

@@ -209,19 +209,70 @@ n_points = 9
     assert abs(sidecar["t0"] - 1.0014) < 1e-3
 
 
-def test_threads_do_not_change_sweep_output(tmp_path):
-    cfg = BASE_TDOT.format(command="spectrum", eps1="0.2", extra="""
+FRIEDRICHS_SWEEP = """
+[run]
+schema_version = 1
+model = friedrichs
+command = friedrichs
+
+[params]
+omega1 = 1.0
+beta = 0.5
+g = 0.08
+
+[time]
+t_min = -6.0
+t_max = 6.0
+n_points = 12
+
+[survival]
+components = true
+
+[sweep]
+parameter = g
+lo = 0.08
+hi = 0.12
+n = 3
+"""
+
+
+SWEEPS = {
+    "spectrum": BASE_TDOT.format(command="spectrum", eps1="0.2", extra="""
 [sweep]
 parameter = eps1
 lo = -1.0
 hi = 0.0
 n = 11
-""")
-    path = write_cfg(tmp_path, cfg)
-    out1, out4 = str(tmp_path / "t1.csv"), str(tmp_path / "t4.csv")
-    assert main(["spectrum", "--config", path, "--out", out1, "--threads", "1"]) == 0
-    assert main(["spectrum", "--config", path, "--out", out4, "--threads", "4"]) == 0
-    assert open(out1, "rb").read() == open(out4, "rb").read()
+"""),
+    "survival": BASE_TDOT.format(command="survival", eps1="0.2", extra="""
+[time]
+t_min = -5.0
+t_max = 5.0
+n_points = 21
+
+[survival]
+components = true
+
+[sweep]
+parameter = eps1
+lo = 0.2
+hi = 0.3
+n = 3
+"""),
+    "friedrichs": FRIEDRICHS_SWEEP,
+}
+
+
+def test_threads_do_not_change_sweep_output(tmp_path):
+    for command, cfg in SWEEPS.items():
+        path = write_cfg(tmp_path, cfg, name=f"{command}.cfg")
+        out1 = str(tmp_path / f"{command}1.csv")
+        out4 = str(tmp_path / f"{command}4.csv")
+        assert main([command, "--config", path, "--out", out1,
+                     "--threads", "1"]) == 0
+        assert main([command, "--config", path, "--out", out4,
+                     "--threads", "4"]) == 0
+        assert open(out1, "rb").read() == open(out4, "rb").read(), command
 
 
 def test_resdyn_threads_env_fallback(tmp_path, monkeypatch):

@@ -201,11 +201,11 @@ def test_amplitude_series_validation():
                         Representation.DIRECT_CONTOUR)
     assert s.component == "total"
     with pytest.raises(DomainError):
-        AmplitudeSeries((1.0, 0.0), (0j, 0j), Representation.ORACLE)
+        AmplitudeSeries((1.0, 0.0), (0j, 0j), Representation.DIRECT_CONTOUR)
     with pytest.raises(DomainError):
-        AmplitudeSeries((0.0,), (np.inf + 0j,), Representation.ORACLE)
+        AmplitudeSeries((0.0,), (np.inf + 0j,), Representation.DIRECT_CONTOUR)
     with pytest.raises(DomainError):
-        AmplitudeSeries((0.0, 1.0), (0j,), Representation.ORACLE)
+        AmplitudeSeries((0.0, 1.0), (0j,), Representation.DIRECT_CONTOUR)
 
 
 def test_parallel_grid_map_is_bit_identical(fig9_spectrum):

@@ -248,12 +248,3 @@ def test_ep_no_sign_change_raises():
     with pytest.raises(NoSignChange):
         ep_locate(FIG9_PARAMS, -0.5, 0.0)  # both ends right of the EP
 
-
-def test_brillouin_point():
-    from resdyn.lattice import BrillouinPoint
-    pt = BrillouinPoint.from_wavenumber(np.pi / 3, b=1.0)
-    assert abs(pt.energy - (-1.0)) < 1e-15
-    assert -2.0 <= pt.energy <= 2.0
-    assert abs(pt.lam - np.exp(1j * np.pi / 3)) < 1e-15
-    with pytest.raises(DomainError):
-        BrillouinPoint(4.0, 0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resdyn.errors import DomainError, ToleranceNotMet
-from resdyn.kernel import adaptive_quad, breakpoints_with_period, piecewise_quad
+from resdyn.kernel import adaptive_quad, piecewise_quad
 
 # (integrand, a, b, exact value) -- the conservative-error battery
 CLOSED_FORMS = [
@@ -106,14 +106,6 @@ def test_piecewise_matches_single_interval():
     whole = adaptive_quad(f, 0.0, 4.0, abs_tol=1e-12, rel_tol=1e-11)
     split = piecewise_quad(f, np.linspace(0, 4, 9), abs_tol=1e-12, rel_tol=1e-11)
     assert abs(whole.value - split.value) < 1e-11
-
-
-def test_breakpoints_with_period():
-    pts = breakpoints_with_period(0.3, 2.7, 0.5, extra=(1.11,))
-    assert pts[0] == 0.3 and pts[-1] == 2.7
-    assert np.all(np.diff(pts) > 0)
-    assert any(abs(p - 1.11) < 1e-15 for p in pts)
-    assert any(abs(p - 1.5) < 1e-15 for p in pts)
 
 
 def test_oscillatory_semi_infinite_bessel_transform():
