@@ -25,6 +25,7 @@ from . import friedrichs as fm
 from . import lattice as lat
 from . import oracle as orc
 from .errors import (
+    BranchCheckFailed,
     ConfigError,
     NoResonance,
     NoSignChange,
@@ -341,18 +342,41 @@ def _tdot_series(config, times):
 def _friedrichs_series(config, times):
     """The Friedrichs total amplitude and, on request, its cut components."""
     poles = fm.friedrichs_poles(config.params)
-    tol = config.tolerances
-    total = lat.AmplitudeSeries(
-        times, fm.survival_total(config.params, times, tol=tol, poles=poles),
-        lat.Representation.DIRECT_CONTOUR)
+    total = fm.survival_total(config.params, times, tol=config.tolerances,
+                              poles=poles)
     series = []
     if config.options["components"]:
-        for name in ("B", "R", "AR"):
-            series.append(lat.AmplitudeSeries(
-                times, fm.a_component(config.params, name, times, tol=tol,
-                                      poles=poles),
-                lat.Representation.BESSEL_COMPONENT_SUM, component="a_" + name))
+        parts = {n: fm.a_component(config.params, n, times, poles=poles)
+                 for n in ("B", "R", "AR")}
+        _check_component_sum(config, poles, times, total, list(parts.values()))
+        series = [lat.AmplitudeSeries(times, values,
+                                      lat.Representation.BESSEL_COMPONENT_SUM,
+                                      component="a_" + name)
+                  for name, values in parts.items()]
+    total = lat.AmplitudeSeries(times, total, lat.Representation.DIRECT_CONTOUR)
     return total, series, {}
+
+
+def _check_component_sum(config, poles, times, total, parts):
+    """Raise BranchCheckFailed unless A_cut = A_B + A_R + A_AR on the grid.
+
+    The partial-fraction identity is exact, so the residual is the cut
+    quadrature's error (main and tail, each within tolerance; 10x margin)
+    plus the closed forms' own error (below 1e-11 of sum |A_n| with poles
+    solved to 1e-12).  A wrong square-root branch moves a component by
+    0.05 or more.
+    """
+    cut = total - poles.bound_residue * np.exp(-1j * poles.e_bound * times)
+    residual = np.abs(cut - sum(parts))
+    tol = config.tolerances
+    allowed = (10.0 * (tol.abs_tol + tol.rel_tol * np.abs(cut))
+               + 1e-10 * sum(np.abs(p) for p in parts))
+    worst = int(np.argmax(residual - allowed))
+    if residual[worst] > allowed[worst]:
+        raise BranchCheckFailed(
+            f"components a_B + a_R + a_AR differ from the branch-cut integral "
+            f"by {residual[worst]:.3e} at t = {times[worst]:g} (allowed "
+            f"{allowed[worst]:.3e}) for {config.params}")
 
 
 def _survival_rows(config, times):

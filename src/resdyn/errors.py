@@ -72,7 +72,12 @@ class UnexpectedRootPattern(ResdynError):
 
 
 class BranchCheckFailed(ResdynError):
-    """No square-root branch assignment reproduces the defining integral."""
+    """Closed-form cut components do not add up to the integrated cut.
+
+    The Friedrichs components A_B + A_R + A_AR must equal the branch-cut
+    integral A_cut exactly; a mismatch beyond the tolerances means a wrong
+    erfc square-root branch or a cut quadrature that missed its tolerance.
+    """
 
 
 class ConfigError(ResdynError):

@@ -3,9 +3,25 @@
 The level-shift function has one bound pole on the negative axis and a
 resonance/anti-resonance pair on the second sheet; the branch-cut integral
 of the survival amplitude splits into three pole components whose closed
-forms involve the complementary error function.  Square-root branches in
-those closed forms are fixed empirically against quadrature of the defining
-integral, once per parameter set and time sign, then cached.
+forms involve the complementary error function.
+
+The square-root branches of those closed forms are derived, not searched.
+With a = sqrt(E) (principal root) for a pole at E,
+
+  A_n(t) = w sqrt(beta) [sqrt(pi/(it)) + a integral_R e^{-iu^2 t}/(u - a) du].
+
+Rotating u onto the steepest-descent line s = sqrt(it) u (u on e^{-i pi/4} R
+for t > 0, e^{+i pi/4} R for t < 0) turns the integral into
+i pi sigma w(sigma zeta) with zeta = sqrt(it) a, sigma = sign Im zeta and the
+Faddeeva function w(z) = e^{-z^2} erfc(-iz) (DLMF 7.2.3, 7.7.2), plus the
+residue at a when the rotation sweeps over it (c = -1: arg a in (-pi/4, 0)
+for t > 0, (0, pi/4) for t < 0; else c = +1).  With erfc(-x) = 2 - erfc(x)
+both cases read i pi c sigma e^{-iEt} erfc(-i c sigma zeta), so ``_fm7_value``
+takes sa = -c sigma and sb = -c sigma kappa, where kappa = zeta/sqrt(iEt) =
++-1 relates zeta to the principal root it evaluates.  Across arg a = -+pi/4
+sigma and c flip together, and c sigma = sign Im a on every ray, so the
+rule is computed as sa = -sign Im sqrt(E), sb = sa kappa: one pair per pole
+and sign of t, with no quadrature and no state kept between calls.
 """
 
 from __future__ import annotations
@@ -16,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BranchCheckFailed,
     DomainError,
     PoleProximity,
     UnexpectedRootPattern,
@@ -26,7 +41,7 @@ from .kernel import (
     Polynomial,
     adaptive_quad,
     erfc_complex,
-    piecewise_quad,
+    piecewise_quad,  # noqa: F401  (bench/spans.py traces the kernel here)
     poly_roots,
     sqrt_poscut,
 )
@@ -304,34 +319,6 @@ def a_cut_direct(params, t, tol=DEFAULT_TOLERANCES, poles=None):
     return complex(out[0]) if scalar else out
 
 
-def _fm6_component_quad(params, energy, weight, t, tol):
-    """Quadrature of the defining single-pole integral (reference for the
-    closed form); diverges at t = 0."""
-    if t == 0.0:
-        raise DomainError("single cut components diverge at t = 0")
-    beta = params.beta
-    e0 = max(50.0 * beta, 50.0 * abs(energy), 10.0 * abs(params.omega1), 10.0)
-    u0 = np.sqrt(e0)
-    t = float(t)
-
-    def integrand_u(u):
-        e = u * u
-        return 2.0 * np.sqrt(beta) * u * u * np.exp(-1j * e * t) / (e - energy)
-
-    u_res = float(np.sqrt(energy).real) if energy.real > 0 else -1.0
-    pts = _cut_main_breakpoints(u0, t, (u_res - 0.2, u_res, u_res + 0.2))
-    with _quadrature_context("single-pole cut component main", t, t, tol):
-        main = piecewise_quad(integrand_u, pts, abs_tol=tol.abs_tol,
-                              rel_tol=tol.rel_tol)
-
-    def f_tail(e):
-        return np.sqrt(beta * e) / (e - energy)
-
-    tail = _tail_rotated(f_tail, e0, np.array([t]), tol,
-                         "single-pole cut component tail")[0]
-    return weight * (main.value + tail)
-
-
 def _fm7_value(beta, weight, energy, t, sign_root_e, sign_erfc):
     term1 = np.sqrt(-1j * (np.pi / t))  # sqrt(pi/(it)), rounded once
     zeta = 1j * np.sqrt(1j * energy * t)
@@ -341,31 +328,14 @@ def _fm7_value(beta, weight, energy, t, sign_root_e, sign_erfc):
     return weight * np.sqrt(beta) * (term1 - term2)
 
 
-_BRANCH_CACHE = {}
-
-
-def _branch_signs(params, label, energy, weight, t_sign, tol):
-    key = (params, label, t_sign)
-    if key in _BRANCH_CACHE:
-        return _BRANCH_CACHE[key]
-    scale = max(abs(energy), params.beta)
-    best = None
-    for sa in (1.0, -1.0):
-        for sb in (1.0, -1.0):
-            worst = 0.0
-            for tau in (0.31, 0.79):
-                t = t_sign * tau / scale
-                ref = _fm6_component_quad(params, energy, weight, t, tol)
-                val = _fm7_value(params.beta, weight, energy, t, sa, sb)
-                worst = max(worst, abs(val - ref) / max(abs(ref), 1e-300))
-            if best is None or worst < best[0]:
-                best = (worst, sa, sb)
-    if best[0] > 1e-5:
-        raise BranchCheckFailed(
-            f"no branch choice reproduces the defining integral for "
-            f"{label}, t sign {t_sign:+d} (best mismatch {best[0]:.2e})")
-    _BRANCH_CACHE[key] = (best[1], best[2])
-    return _BRANCH_CACHE[key]
+def _erfc_branches(energy, t_sign):
+    """(sa, sb) of ``_fm7_value`` for a pole at ``energy`` and times of sign
+    t_sign: sa = -sign Im sqrt(E) and sb = sa kappa (module docstring)."""
+    ts = np.array([float(t_sign)])  # the array arithmetic of _fm7_value
+    root_e = np.sqrt(energy)
+    sa = -1.0 if root_e.imag > 0 else 1.0
+    kappa = (np.sqrt(1j * ts) * root_e / np.sqrt(1j * energy * ts))[0].real
+    return sa, (sa if kappa > 0 else -sa)
 
 
 def _pole_by_label(poles, n):
@@ -379,12 +349,12 @@ def _pole_by_label(poles, n):
     return table[n]
 
 
-def a_component(params, n, t, tol=DEFAULT_TOLERANCES, poles=None):
+def a_component(params, n, t, poles=None):
     """Closed-form single-pole cut component A_n(t) via erfc.
 
     ``t`` is a time or a 1-d grid (a grid gives an array).  The square-root
-    branches are fixed against the defining integral at two small times per
-    (parameter set, pole, time sign) and cached; t = 0 is rejected because
+    branches follow from the pole and the sign of t alone (module
+    docstring), so no quadrature is made; t = 0 is rejected because
     individual components diverge there.
     """
     times, scalar = _time_grid(t)
@@ -395,43 +365,37 @@ def a_component(params, n, t, tol=DEFAULT_TOLERANCES, poles=None):
     out = np.empty(len(times), dtype=complex)
     for t_sign, side in ((1, times > 0.0), (-1, times < 0.0)):
         if side.any():
-            sa, sb = _branch_signs(params, n, energy, weight, t_sign, tol)
+            sa, sb = _erfc_branches(energy, t_sign)
             out[side] = _fm7_value(params.beta, weight, energy, times[side],
                                    sa, sb)
     return complex(out[0]) if scalar else out
 
 
-_ASYMPTOTIC_SIGN_CACHE = {}
-
-
-def a_component_asymptotic(params, t, tol=DEFAULT_TOLERANCES, poles=None):
+def a_component_asymptotic(params, t, poles=None):
     """Resonant component for large negative time: power-law (E_R t)^{-3/2}.
 
-    The square root entering the cubed denominator carries the same branch
-    ambiguity as the erfc closed form; its overall sign is fixed once per
-    (parameter set, time sign) against the closed form itself and cached.
-    Warns when -t |E_R| is not large.
+    ``t`` is a time or a 1-d grid of negative times (a grid gives an array).
+    This is the leading term of the erfc expansion of the closed form in the
+    large-negative-time regime, where the resonant component is suppressed;
+    for t > 0 the component also carries the pole term e^{-iE_R t}, which
+    this form omits, so t >= 0 raises DomainError.  The sign, -sa sb, comes
+    from the resonant pole's t < 0 branches.  Warns when -t |E_R| is not
+    large.
     """
-    t = float(t)
+    times, scalar = _time_grid(t)
+    if np.any(times >= 0.0):
+        raise DomainError(
+            "the power-law form holds only in the large-negative-time regime "
+            "(-t |E_R| >> 1); t >= 0 requested")
     p = poles if poles is not None else friedrichs_poles(params)
-    if -t * abs(p.e_res) < 10.0:
+    if -times.max() * abs(p.e_res) < 10.0:
         warnings.warn("asymptotic resonant form used at -t |E_R| < 10",
                       ValidityWarning)
-    t_sign = 1 if t > 0 else -1
-
-    def raw(tau):
-        zeta = 1j * np.sqrt(1j * p.e_res * tau)
-        return (p.w_res * np.sqrt(np.pi * params.beta * p.e_res)
-                * (-1j) / (2.0 * zeta ** 3))
-
-    key = (params, t_sign)
-    if key not in _ASYMPTOTIC_SIGN_CACHE:
-        t_ref = t_sign * 25.0 / abs(p.e_res)
-        exact = a_component(params, "R", t_ref, tol=tol, poles=p)
-        cand = raw(t_ref)
-        _ASYMPTOTIC_SIGN_CACHE[key] = (
-            1.0 if abs(cand - exact) <= abs(-cand - exact) else -1.0)
-    return _ASYMPTOTIC_SIGN_CACHE[key] * raw(t)
+    sa, sb = _erfc_branches(p.e_res, -1)
+    zeta = 1j * np.sqrt(1j * p.e_res * times)
+    out = (-sa * sb * p.w_res * np.sqrt(np.pi * params.beta * p.e_res)
+           * (-1j) / (2.0 * zeta ** 3))
+    return complex(out[0]) if scalar else out
 
 
 def survival_total(params, t, tol=DEFAULT_TOLERANCES, poles=None):

@@ -2,12 +2,15 @@
 
 Everything here deliberately avoids the code paths it verifies: the series
 oracle sums the defining power series term by term, the contour oracles
-quadrature the defining integrals directly, and the root tracker continues
-an eigenvalue branch step by step instead of using the closed forms.
+quadrature the defining integrals directly, the root tracker continues
+an eigenvalue branch step by step instead of using the closed forms, and
+the Friedrichs branch search picks the erfc square-root branches by
+comparison with the defining integral instead of the derived rule.
 """
 
 import numpy as np
 
+from resdyn.friedrichs import _cut_main_breakpoints, _fm7_value, _tail_rotated
 from resdyn.kernel import piecewise_quad
 from resdyn.lattice import f_lambda, h_lambda
 
@@ -86,3 +89,53 @@ def band_integral_of_pole_kernel(b, energy, abs_tol=1e-12):
 
     pts = np.linspace(-np.pi, np.pi, 33)
     return piecewise_quad(integrand, pts, abs_tol=abs_tol, rel_tol=1e-11).value
+
+
+def friedrichs_component_quad(params, energy, weight, t, tol):
+    """weight * integral_0^inf sqrt(beta E) e^{-iEt} / (E - energy) dE, the
+    defining single-pole cut integral, by quadrature (t != 0): u = sqrt(E)
+    up to e0, then the ray from e0 rotated into the decaying half-plane."""
+    beta = params.beta
+    e0 = max(50.0 * beta, 50.0 * abs(energy), 10.0 * abs(params.omega1), 10.0)
+    u0 = np.sqrt(e0)
+    t = float(t)
+
+    def integrand_u(u):
+        e = u * u
+        return 2.0 * np.sqrt(beta) * u * u * np.exp(-1j * e * t) / (e - energy)
+
+    u_res = float(np.sqrt(energy).real) if energy.real > 0 else -1.0
+    pts = _cut_main_breakpoints(u0, t, (u_res - 0.2, u_res, u_res + 0.2))
+    main = piecewise_quad(integrand_u, pts, abs_tol=tol.abs_tol,
+                          rel_tol=tol.rel_tol)
+
+    def f_tail(e):
+        return np.sqrt(beta * e) / (e - energy)
+
+    tail = _tail_rotated(f_tail, e0, np.array([t]), tol,
+                         "single-pole cut component tail")[0]
+    return weight * (main.value + tail)
+
+
+def friedrichs_branch_search(params, energy, weight, t_sign, tol):
+    """(sa, sb, mismatch): of the four erfc sign pairs of the closed form,
+    the one closest to the defining integral at two small times of sign
+    t_sign, with its worst relative mismatch there."""
+    scale = max(abs(energy), params.beta)
+    refs = {}
+    best = None
+    for sa in (1.0, -1.0):
+        for sb in (1.0, -1.0):
+            worst = 0.0
+            for tau in (0.31, 0.79):
+                t = t_sign * tau / scale
+                if t not in refs:
+                    refs[t] = friedrichs_component_quad(params, energy, weight,
+                                                        t, tol)
+                ref = refs[t]
+                val = _fm7_value(params.beta, weight, energy, np.array([t]),
+                                 sa, sb)[0]
+                worst = max(worst, abs(val - ref) / max(abs(ref), 1e-300))
+            if best is None or worst < best[2]:
+                best = (sa, sb, worst)
+    return best

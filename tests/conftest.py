@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from resdyn.friedrichs import FriedrichsParams, friedrichs_poles
 from resdyn.lattice import TDotParams, discrete_spectrum
@@ -51,3 +52,9 @@ def random_tdot_params(rng):
 def assert_close(actual, expected, tol, label=""):
     err = abs(actual - expected)
     assert err <= tol, f"{label}: |{actual} - {expected}| = {err:.3e} > {tol:g}"
+
+
+# deterministic property-based tests with a bounded cost in tier-1
+settings.register_profile("resdyn", derandomize=True, deadline=None,
+                          max_examples=30, database=None)
+settings.load_profile("resdyn")

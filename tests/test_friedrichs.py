@@ -15,6 +15,7 @@ from resdyn.friedrichs import (
 from resdyn.friedrichs import _eta_negative_axis, _eta_prime_negative_axis
 from resdyn.lattice import Tolerances
 
+from _oracles import friedrichs_component_quad
 from conftest import FIG11_PARAMS, FM_E_R_REF, assert_close
 
 TIGHT = Tolerances(abs_tol=1e-12, rel_tol=1e-11)
@@ -173,7 +174,6 @@ def test_cut_equals_component_sum(fig11_poles):
 
 
 def test_components_match_defining_integral(fig11_poles):
-    from resdyn.friedrichs import _fm6_component_quad
     for n in ("B", "R", "AR"):
         energy, weight = {
             "B": (fig11_poles.e_bound + 0j, fig11_poles.w_bound),
@@ -181,7 +181,8 @@ def test_components_match_defining_integral(fig11_poles):
             "AR": (fig11_poles.e_ares, fig11_poles.w_ares),
         }[n]
         for t in (-10.0, -2.0, -0.5, 0.5, 2.0, 10.0):
-            ref = _fm6_component_quad(FIG11_PARAMS, energy, weight, t, TIGHT)
+            ref = friedrichs_component_quad(FIG11_PARAMS, energy, weight, t,
+                                            TIGHT)
             got = a_component(FIG11_PARAMS, n, t, poles=fig11_poles)
             assert abs(got - ref) < 1e-6, f"n={n} t={t}"
 
