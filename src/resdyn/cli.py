@@ -504,9 +504,8 @@ def cmd_oracle_check(config, args):
               "tolerance": tolerance, "deviations": {}}
     # H is real symmetric, so <d1|e^{-iHt}|d2> = <d2|e^{-iHt}|d1>: one
     # propagation from d1 serves every theta superposition
-    prop = orc.propagate(lattice, "d1", times, want_d2=True)
-    a11 = np.array(prop.amplitudes["d1"])
-    a21 = np.array(prop.amplitudes["d2"])
+    prop = orc.propagate(lattice, times)
+    a11, a21 = prop.amplitudes["d1"], prop.amplitudes["d2"]
     direct = lat.survival_direct(config.params, times, tol=config.tolerances,
                                  spectrum=spectrum)
     report["deviations"]["d1"] = float(np.max(np.abs(direct - a11)))

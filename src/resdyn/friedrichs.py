@@ -241,7 +241,8 @@ def _tail_rotated(f_of_e, e0, times, tol, what):
     reach = np.log(1.0 / tol.abs_tol) + 8.0  # e^{-reach} below abs_tol
     x_cut = reach / t_lo
     pts = [0.0]
-    step = min(1.0 / t_hi, reach / t_hi / 4.0)
+    # the first panel must also resolve f's own decay on the scale of e0
+    step = min(1.0 / t_hi, reach / t_hi / 4.0, e0)
     x = step
     while x < x_cut:
         pts.append(x)

@@ -2,9 +2,11 @@
 
 The dot plus 2N lead sites form a real symmetric matrix whose exact dynamics
 (up to the reflection horizon N/(2b)) ground-truths every contour-based
-amplitude.  The propagator expansion uses scipy's Bessel J_k, keeping this
-module independent of the kernel's own Bessel evaluation used on the
-analytic side.
+amplitude.  The propagation starts from |d1> and runs in real arithmetic:
+the Chebyshev vectors are streamed in fixed-size blocks and never stored
+whole, so memory stays at a few vectors per grid time.  The expansion uses
+scipy's Bessel J_k, keeping this module independent of the kernel's own
+Bessel evaluation used on the analytic side.
 """
 
 from __future__ import annotations
@@ -72,11 +74,19 @@ def build_hamiltonian(params, n_sites_per_lead):
 
 @dataclass(frozen=True)
 class PropagationResult:
-    times: tuple
-    amplitudes: dict  # site label -> tuple of complex values
-    norms: tuple
+    """<d1|e^{-iHt}|d1> and <d2|e^{-iHt}|d1> on a time grid, with the norm
+    of the propagated state at each time (arrays in grid order)."""
+
+    times: np.ndarray
+    amplitudes: dict  # "d1", "d2" -> complex array over the grid
+    norms: np.ndarray
     safe_horizon: float
     flags: tuple = ()
+
+
+# Chebyshev vectors generated and consumed per block: working memory is
+# (n_times + _BLOCK) * dim reals instead of (order + 1) * dim complexes
+_BLOCK = 128
 
 
 def _gershgorin_bound(mat):
@@ -90,28 +100,34 @@ def _chebyshev_order(alpha):
     return k + 10
 
 
-def initial_vector(lattice, initial):
-    """|d1> or the (|d1> + e^{i theta}|d2>)/sqrt2 superposition."""
-    v = np.zeros(lattice.dimension, dtype=complex)
-    if initial == "d1":
-        v[0] = 1.0
-        return v
-    kind, theta = initial
-    if kind != "theta":
-        raise DomainError(f"unknown initial state {initial!r}")
-    v[0] = 1.0 / np.sqrt(2.0)
-    v[1] = np.exp(1j * float(theta)) / np.sqrt(2.0)
-    return v
+def _coefficients(alphas, order):
+    """Real c with c_k = (2 - delta_k0) (-i)^k J_k(alpha) equal to c[:, k]
+    for even k and to i c[:, k] for odd k, one row per alpha.
+
+    J_k is evaluated once per distinct |alpha| and reflected with
+    J_k(-x) = (-1)^k J_k(x).
+    """
+    ks = np.arange(order + 1)
+    mags, inverse = np.unique(np.abs(alphas), return_inverse=True)
+    bessel = jv(ks[None, :], mags[:, None])[inverse]
+    phase = np.where(ks == 0, 1.0, 2.0) * np.array([1.0, -1.0, -1.0, 1.0])[ks % 4]
+    reflect = (alphas[:, None] < 0) & (ks % 2 == 1)
+    return np.where(reflect, -1.0, 1.0) * phase * bessel
 
 
-def propagate(lattice, initial, times, want_d2=False):
-    """<d1|e^{-iHt}|init> (and <d2|...> on request) on a time grid.
+def propagate(lattice, times):
+    """<d1|e^{-iHt}|d1> and <d2|e^{-iHt}|d1> on a time grid.
 
     Chebyshev expansion of the propagator with the spectrum rescaled by the
-    exact Gershgorin row bound; the polynomial vectors are computed once and
-    reused for every grid time.  Norm conservation is reported per time.
+    exact Gershgorin row bound.  H is real symmetric and the initial state
+    |d1> is real, so every T_k(H~)|d1> is real; they are generated in blocks
+    of _BLOCK and each block is added into Re and Im of the state at every
+    grid time with two real matrix products (even k carry real
+    coefficients, odd k imaginary ones).  Working memory is
+    (n_times + _BLOCK) * dim reals, whatever the expansion order.  Norm
+    conservation is reported per time.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.array(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise DomainError("times must be a non-empty 1-d grid")
     flags = []
@@ -127,27 +143,33 @@ def propagate(lattice, initial, times, want_d2=False):
     h_tilde = h / scale
     alpha_max = scale * t_max
     order = _chebyshev_order(alpha_max) if alpha_max > 0 else 1
+    coeff = _coefficients(scale * times, order)
+    c_even, c_odd = coeff[:, 0::2].copy(), coeff[:, 1::2].copy()
 
-    v = initial_vector(lattice, initial)
-    cheb = np.empty((order + 1, lattice.dimension), dtype=complex)
-    cheb[0] = v
-    cheb[1] = h_tilde @ v
-    for k in range(2, order + 1):
-        cheb[k] = 2.0 * (h_tilde @ cheb[k - 1]) - cheb[k - 2]
+    dim = lattice.dimension
+    real = np.zeros((len(times), dim))
+    imag = np.zeros((len(times), dim))
+    vecs = np.empty((_BLOCK + 2, dim))  # rows 0, 1 carry T_{k0-2}, T_{k0-1}
+    for k0 in range(0, order + 1, _BLOCK):
+        n = min(_BLOCK, order + 1 - k0)
+        for j in range(2, n + 2):
+            k = k0 + j - 2
+            if k >= 2:
+                vecs[j] = 2.0 * (h_tilde @ vecs[j - 1]) - vecs[j - 2]
+            elif k == 1:
+                vecs[j] = h_tilde @ vecs[j - 1]
+            else:
+                vecs[j] = 0.0
+                vecs[j, 0] = 1.0
+        block = vecs[2:n + 2]
+        even, odd = block[0::2], block[1::2]  # k0 is even
+        real += c_even[:, k0 // 2:k0 // 2 + len(even)] @ even
+        imag += c_odd[:, k0 // 2:k0 // 2 + len(odd)] @ odd
+        vecs[:2] = vecs[n:n + 2]
 
-    ks = np.arange(order + 1)
-    prefac = np.where(ks == 0, 1.0, 2.0) * (-1j) ** ks
-    amp_d1 = np.empty(len(times), dtype=complex)
-    amp_d2 = np.empty(len(times), dtype=complex)
-    norms = np.empty(len(times))
-    for i, t in enumerate(times):
-        coeff = prefac * jv(ks, scale * t)
-        state = coeff @ cheb
-        amp_d1[i] = state[0]
-        amp_d2[i] = state[1]
-        norms[i] = float(np.linalg.norm(state))
-    amplitudes = {"d1": tuple(amp_d1)}
-    if want_d2:
-        amplitudes["d2"] = tuple(amp_d2)
-    return PropagationResult(tuple(float(t) for t in times), amplitudes,
-                             tuple(norms), lattice.safe_horizon, tuple(flags))
+    amplitudes = {"d1": real[:, 0] + 1j * imag[:, 0],
+                  "d2": real[:, 1] + 1j * imag[:, 1]}
+    norms = np.sqrt(np.einsum("ij,ij->i", real, real)
+                    + np.einsum("ij,ij->i", imag, imag))
+    return PropagationResult(times, amplitudes, norms, lattice.safe_horizon,
+                             tuple(flags))

@@ -130,6 +130,21 @@ def test_asymptotic_form_rejects_nonnegative_time(fig11_poles):
             a_component_asymptotic(p, t, poles=fig11_poles)
 
 
+SMALL_TIMES = np.array([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6,
+                        1e-3, -1e-3])
+
+
+@given(PARAMS)
+def test_cut_is_continuous_at_zero_time(params):
+    # |dA/dt| <= <E> over the cut, so A(t) - A(0) = O(|t|); a rotated tail
+    # whose first panel misses f's decay leaves a constant offset instead
+    poles = _poles_or_reject(params)
+    values = fm.a_cut_direct(params, SMALL_TIMES, poles=poles)
+    bound = (2.0 * max(abs(params.omega1), params.beta, 1.0)
+             * np.abs(SMALL_TIMES[1:]) + 10.0 * DEFAULT_TOLERANCES.abs_tol)
+    assert np.all(np.abs(values[1:] - values[0]) <= bound)
+
+
 def test_module_keeps_no_mutable_state():
     mutable = [name for name, value in vars(fm).items()
                if not name.startswith("__")

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from resdyn.errors import DomainError, ReflectionContamination
 from resdyn.kernel import bessel_j1
 from resdyn.lattice import TDotParams, ThetaState, survival_direct, theta_amplitude
-from resdyn.oracle import build_hamiltonian, initial_vector, propagate
+from resdyn.oracle import build_hamiltonian, propagate
 
 from conftest import FIG9_PARAMS
 
@@ -46,7 +49,7 @@ def test_decoupled_dot_survival_is_pure_phase():
     p = TDotParams(1.0, 0.3, 0.0, 0.0, 0.0, 0.0)
     lat = build_hamiltonian(p, 50)
     times = np.linspace(0.0, 5.0, 6)
-    res = propagate(lat, "d1", times)
+    res = propagate(lat, times)
     for t, a in zip(res.times, res.amplitudes["d1"]):
         assert abs(a - np.exp(-1j * p.eps1 * t)) < 1e-13
 
@@ -57,7 +60,7 @@ def test_end_coupled_chain_matches_bessel_closed_form():
     p = TDotParams(1.0, 0.0, 0.0, 1.0, 1.0, 0.0)
     lat = build_hamiltonian(p, 400)
     times = np.linspace(0.5, 100.0, 40)
-    res = propagate(lat, "d1", times)
+    res = propagate(lat, times)
     for t, a in zip(res.times, res.amplitudes["d1"]):
         assert abs(a - bessel_j1(2.0 * t) / t) < 1e-6
 
@@ -65,7 +68,7 @@ def test_end_coupled_chain_matches_bessel_closed_form():
 def test_unitarity_and_time_reversal():
     lat = build_hamiltonian(FIG9_PARAMS, 200)
     times = np.linspace(-40.0, 40.0, 17)
-    res = propagate(lat, "d1", times)
+    res = propagate(lat, times)
     assert max(abs(n - 1.0) for n in res.norms) < 1e-10
     amps = dict(zip(res.times, res.amplitudes["d1"]))
     for t in (10.0, 25.0, 40.0):
@@ -74,8 +77,8 @@ def test_unitarity_and_time_reversal():
 
 def test_horizon_doubling_leaves_amplitudes_unchanged():
     times = np.linspace(0.0, 45.0, 10)
-    a_small = propagate(build_hamiltonian(FIG9_PARAMS, 100), "d1", times)
-    a_big = propagate(build_hamiltonian(FIG9_PARAMS, 200), "d1", times)
+    a_small = propagate(build_hamiltonian(FIG9_PARAMS, 100), times)
+    a_big = propagate(build_hamiltonian(FIG9_PARAMS, 200), times)
     dev = max(abs(x - y) for x, y in zip(a_small.amplitudes["d1"],
                                          a_big.amplitudes["d1"]))
     assert dev < 1e-8
@@ -85,14 +88,14 @@ def test_reflection_contamination_warning():
     lat = build_hamiltonian(FIG9_PARAMS, 50)
     assert lat.safe_horizon == 25.0
     with pytest.warns(ReflectionContamination):
-        res = propagate(lat, "d1", np.array([30.0]))
+        res = propagate(lat, np.array([30.0]))
     assert "reflection-contamination" in res.flags
 
 
 def test_matches_contour_amplitudes(fig9_spectrum):
     lat = build_hamiltonian(FIG9_PARAMS, 800)
     times = np.linspace(0.0, 50.0, 26)
-    res = propagate(lat, "d1", times)
+    res = propagate(lat, times)
     dev = max(abs(survival_direct(FIG9_PARAMS, t, spectrum=fig9_spectrum) - a)
               for t, a in zip(res.times, res.amplitudes["d1"]))
     assert dev < 1e-4
@@ -101,25 +104,62 @@ def test_matches_contour_amplitudes(fig9_spectrum):
 def test_matches_theta_amplitudes(fig9_spectrum):
     lat = build_hamiltonian(FIG9_PARAMS, 800)
     times = np.linspace(0.0, 50.0, 26)
+    # H is real symmetric: <d1|e^{-iHt}|d2> = <d2|e^{-iHt}|d1>
+    res = propagate(lat, times)
     for theta in (0.0, np.pi / 2):
-        res = propagate(lat, ("theta", theta), times)
+        exact = (res.amplitudes["d1"]
+                 + np.exp(1j * theta) * res.amplitudes["d2"]) / np.sqrt(2.0)
         dev = max(abs(theta_amplitude(fig9_spectrum, ThetaState(theta),
                                       "total", t) - a)
-                  for t, a in zip(res.times, res.amplitudes["d1"]))
+                  for t, a in zip(res.times, exact))
         assert dev < 1e-4, f"theta={theta}"
-
-
-def test_initial_vector_shapes():
-    lat = build_hamiltonian(FIG9_PARAMS, 50)
-    v = initial_vector(lat, ("theta", np.pi / 2))
-    assert abs(np.linalg.norm(v) - 1.0) < 1e-15
-    assert abs(v[0] - 1.0 / np.sqrt(2.0)) < 1e-15
-    with pytest.raises(DomainError):
-        initial_vector(lat, ("boost", 1.0))
 
 
 def test_d2_amplitude_available_on_request():
     lat = build_hamiltonian(FIG9_PARAMS, 100)
-    res = propagate(lat, "d1", np.array([3.0]), want_d2=True)
+    res = propagate(lat, np.array([3.0]))
     assert "d2" in res.amplitudes
     assert abs(res.amplitudes["d2"][0]) > 0.0
+
+
+def _expm_rows(lat, times):
+    """<d1|e^{-iHt}|d1> and <d2|e^{-iHt}|d1> by scipy's expm_multiply."""
+    h = lat.matrix.astype(complex)
+    v = np.zeros(lat.dimension, dtype=complex)
+    v[0] = 1.0
+    rows = np.array([expm_multiply(-1j * t * h, v)[:2] for t in times])
+    return rows[:, 0], rows[:, 1]
+
+
+def test_matches_expm_multiply_on_mixed_sign_grid():
+    lat = build_hamiltonian(FIG9_PARAMS, 200)
+    times = np.array([7.5, -3.0, 0.0, 3.0, -60.0, 7.5, -7.5, 60.0, 0.4, -21.0])
+    res = propagate(lat, times)
+    d1, d2 = _expm_rows(lat, times)
+    assert np.array_equal(res.times, times)
+    assert np.max(np.abs(res.amplitudes["d1"] - d1)) < 1e-12
+    assert np.max(np.abs(res.amplitudes["d2"] - d2)) < 1e-12
+
+
+def test_grid_equals_one_time_calls():
+    # each lone time has its own expansion order and block remainder
+    lat = build_hamiltonian(FIG9_PARAMS, 200)
+    times = np.array([-95.0, -40.0, -13.0, -0.7, 0.0, 0.2, 5.0, 31.0, 95.0])
+    res = propagate(lat, times)
+    for i, t in enumerate(times):
+        one = propagate(lat, np.array([t]))
+        for site in ("d1", "d2"):
+            assert abs(one.amplitudes[site][0] - res.amplitudes[site][i]) < 1e-13
+        assert abs(one.norms[0] - res.norms[i]) < 1e-13
+
+
+def test_working_memory_does_not_grow_with_order():
+    lat = build_hamiltonian(FIG9_PARAMS, 2000)
+    times = np.linspace(-1000.0, 1000.0, 41)
+    tracemalloc.start()
+    try:
+        propagate(lat, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
