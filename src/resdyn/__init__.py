@@ -20,9 +20,7 @@ from .friedrichs import (
     survival_total,
 )
 from .lattice import (
-    AmplitudeSeries,
     DiscreteState,
-    Representation,
     Spectrum,
     StateClass,
     TDotParams,
@@ -49,12 +47,10 @@ from .lattice import (
 from .oracle import PropagationResult, TruncatedLattice, build_hamiltonian, propagate
 
 __all__ = [
-    "AmplitudeSeries",
     "DiscreteState",
     "FriedrichsParams",
     "FriedrichsPoles",
     "PropagationResult",
-    "Representation",
     "Spectrum",
     "StateClass",
     "TDotParams",

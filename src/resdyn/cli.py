@@ -27,6 +27,7 @@ from . import oracle as orc
 from .errors import (
     BranchCheckFailed,
     ConfigError,
+    DomainError,
     NoResonance,
     NoSignChange,
     ResdynError,
@@ -306,7 +307,8 @@ def _component_labels(spectrum):
 
 
 def _tdot_series(config, times):
-    """The T-dot total amplitude and the named series its options ask for."""
+    """The T-dot total amplitude and the (label, values) series its options
+    ask for."""
     spectrum = lat.discrete_spectrum(config.params)
     tol = config.tolerances
     theta_raw = config.options["theta"]
@@ -316,23 +318,17 @@ def _tdot_series(config, times):
     if theta is not None or config.options["components"]:
         chi = lat.amplitude_grid(spectrum, times, weights, tol=tol)
     if theta is None:
-        total = lat.AmplitudeSeries(
-            times, lat.survival_direct(config.params, times, tol=tol,
-                                       spectrum=spectrum),
-            lat.Representation.DIRECT_CONTOUR)
+        total = lat.survival_direct(config.params, times, tol=tol,
+                                    spectrum=spectrum)
     else:
-        total = lat.AmplitudeSeries(times, sum(chi),
-                                    lat.Representation.BESSEL_COMPONENT_SUM)
+        total = sum(chi)
     series = []
     if config.options["components"]:
-        for row, name in zip(chi, _component_labels(spectrum)):
-            series.append(lat.AmplitudeSeries(
-                times, row, lat.Representation.BESSEL_COMPONENT_SUM,
-                component="chi_" + name))
+        series += [("chi_" + name, row)
+                   for row, name in zip(chi, _component_labels(spectrum))]
     if config.options["isolated_residue"]:
-        series.append(lat.AmplitudeSeries(
-            times, lat.isolated_residue_amplitude(spectrum, times),
-            lat.Representation.ISOLATED_RESIDUE, component="xi_res"))
+        series.append(("xi_res",
+                       lat.isolated_residue_amplitude(spectrum, times)))
     real = {}
     if config.options["short_time"]:
         real["p_short"] = lat.short_time_resonant_prob(spectrum, times)
@@ -349,11 +345,7 @@ def _friedrichs_series(config, times):
         parts = {n: fm.a_component(config.params, n, times, poles=poles)
                  for n in ("B", "R", "AR")}
         _check_component_sum(config, poles, times, total, list(parts.values()))
-        series = [lat.AmplitudeSeries(times, values,
-                                      lat.Representation.BESSEL_COMPONENT_SUM,
-                                      component="a_" + name)
-                  for name, values in parts.items()]
-    total = lat.AmplitudeSeries(times, total, lat.Representation.DIRECT_CONTOUR)
+        series = [("a_" + name, values) for name, values in parts.items()]
     return total, series, {}
 
 
@@ -385,16 +377,21 @@ def _survival_rows(config, times):
     model_series = (_friedrichs_series if config.model == "friedrichs"
                     else _tdot_series)
     total, series, real = model_series(config, times)
+    for label, values in [("a", total)] + series:
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise DomainError(f"series {label} is not finite at "
+                              f"t = {times[np.argmax(bad)]:.12g}")
     header = ["t", "re_a", "im_a", "abs2_a"]
-    for s in series:
-        header += [f"re_{s.component}", f"im_{s.component}"]
+    for label, _values in series:
+        header += [f"re_{label}", f"im_{label}"]
     header += list(real)
     rows = []
     for i, t in enumerate(times):
-        a = total.values[i]
+        a = total[i]
         row = [fmt(t), fmt(a.real), fmt(a.imag), fmt(abs(a) ** 2)]
-        for s in series:
-            row += [fmt(s.values[i].real), fmt(s.values[i].imag)]
+        for _label, values in series:
+            row += [fmt(values[i].real), fmt(values[i].imag)]
         row += [fmt(col[i]) for col in real.values()]
         rows.append(tuple(row))
     return header, rows

@@ -38,7 +38,6 @@ from .errors import (
     ValidityWarning,
 )
 from .kernel import (
-    Polynomial,
     adaptive_quad,
     erfc_complex,
     piecewise_quad,  # noqa: F401  (bench/spans.py traces the kernel here)
@@ -167,7 +166,7 @@ def friedrichs_poles(params):
         raise UnexpectedRootPattern(
             f"E = -beta fails to deflate (remainder {remainder:.3e})")
 
-    roots = poly_roots(Polynomial(cubic), tol=1e-12)
+    roots = poly_roots(cubic)
     reals = [r for r in roots if r.imag == 0]
     pairs = [r for r in roots if r.imag != 0]
     if len(reals) != 1 or len(pairs) != 2 or reals[0].real >= 0:

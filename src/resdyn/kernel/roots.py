@@ -1,169 +1,49 @@
-"""Complex polynomial type and a simultaneous-iteration root finder.
+"""Roots of a real polynomial from the eigenvalues of its companion matrix.
 
-Degrees here are small (the lattice quartic, the Friedrichs cubic, test
-polynomials up to degree 6), so the solver favors robustness: Aberth-Ehrlich
-iteration seeded on a perturbed circle, followed by a Newton polish on the
-original coefficients, with conjugate-pair symmetrization for real input.
+numpy's ``polyroots`` is backward stable in the coefficients (Edelman &
+Murakami, Math. Comp. 64, 763 (1995)); two Newton steps on the original
+coefficients then win back the digit the eigenvalue solve loses.  The
+result is accepted on its pointwise relative backward error, which stays
+meaningful for the huge anti-bound root next to the quartic-to-cubic
+degeneracy, where a residual scaled by the coefficients would not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyroots, polyval
 
-from ..errors import DomainError, NonConvergence
+from ..errors import NonConvergence
 
-_TRIM_REL = 1e-14
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial with complex coefficients stored in ascending degree."""
-
-    coefficients: tuple
-
-    def __init__(self, coefficients):
-        coeffs = [complex(c) for c in coefficients]
-        if not coeffs:
-            raise DomainError("polynomial needs at least one coefficient")
-        scale = max(abs(c) for c in coeffs)
-        if scale == 0.0:
-            raise DomainError("zero polynomial")
-        while len(coeffs) > 1 and abs(coeffs[-1]) <= _TRIM_REL * scale:
-            coeffs.pop()
-        if abs(coeffs[-1]) == 0.0:
-            raise DomainError("zero polynomial")
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __call__(self, z):
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return complex(acc)
-        return acc
-
-    def derivative(self):
-        if self.degree == 0:
-            return Polynomial([0.0])
-        der = [k * c for k, c in enumerate(self.coefficients)][1:]
-        return Polynomial(der)
-
-    def has_real_coefficients(self, tol=0.0):
-        scale = max(abs(c) for c in self.coefficients)
-        return all(abs(c.imag) <= tol * scale for c in self.coefficients)
-
-    @classmethod
-    def from_roots(cls, roots, leading=1.0):
-        coeffs = np.array([complex(leading)])
-        for r in roots:
-            coeffs = np.convolve(coeffs, np.array([-complex(r), 1.0]))
-        return cls(coeffs)
+BACKWARD_TOL = 1e-10
 
 
-def _aberth_iterate(monic, z, max_iter=400):
-    p = Polynomial(monic)
-    dp = p.derivative()
-    n = len(z)
-    for _ in range(max_iter):
-        pv = np.array([p(zi) for zi in z])
-        dv = np.array([dp(zi) for zi in z])
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv_sum = np.sum(1.0 / diff, axis=1) - 1.0 / np.diag(diff)
-        # the diagonal fill contributed a spurious 1/1; remove it
-        denom = 1.0 - w * inv_sum
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = w / denom
-        z = z - step
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
-            return z, True
-    return z, False
+def backward_errors(coefficients, z):
+    """|p(z)| / sum_k |c_k| |z|^k at each z: the relative coefficient
+    perturbation for which z is an exact root."""
+    c = np.asarray(coefficients, dtype=float)
+    scale = polyval(np.abs(z), np.abs(c))
+    return np.abs(polyval(z, c)) / np.where(scale > 0, scale, 1.0)
 
 
-def _newton_polish(p, z, steps=4):
-    dp = p.derivative()
-    for zi_index in range(len(z)):
-        zi = z[zi_index]
-        for _ in range(steps):
-            dv = dp(zi)
-            if abs(dv) < 1e-300:
-                break
-            step = p(zi) / dv
-            zi_new = zi - step
-            if abs(p(zi_new)) >= abs(p(zi)):
-                break
-            zi = zi_new
-        z[zi_index] = zi
-    return z
+def poly_roots(coefficients):
+    """All roots of the real polynomial sum_k c_k z^k, sorted by (Re, Im).
 
-
-def _symmetrize_conjugates(z, snap_tol=1e-10):
-    """Snap near-real roots to the axis and average conjugate pairs."""
-    z = list(z)
-    out = []
-    complexes = []
-    for r in z:
-        if abs(r.imag) <= snap_tol * (1.0 + abs(r)):
-            out.append(complex(r.real, 0.0))
-        else:
-            complexes.append(r)
-    upper = sorted([r for r in complexes if r.imag > 0], key=lambda v: (v.real, v.imag))
-    lower = sorted([r for r in complexes if r.imag < 0], key=lambda v: (v.real, -v.imag))
-    if len(upper) != len(lower):
-        # pairing failed; return inputs untouched rather than inventing roots
-        return z
-    for ru in upper:
-        j = int(np.argmin([abs(ru - np.conj(rl)) for rl in lower]))
-        rl = lower.pop(j)
-        mean = 0.5 * (ru + np.conj(rl))
-        out.append(mean)
-        out.append(np.conj(mean))
-    return out
-
-
-def poly_roots(p, tol=1e-10):
-    """All roots of ``p`` (with multiplicity), Aberth + Newton polished.
-
-    Roots of a real-coefficient polynomial are returned with complex members
-    in exact conjugate pairs.  Raises NonConvergence (carrying the best
-    iterate set and worst residual) if the polished residuals exceed
-    ``tol`` relative to max(1, max|coeff|).
+    Real roots have an imaginary part of exactly 0 and complex roots come
+    in exact conjugate pairs.  Raises NonConvergence, carrying the roots
+    and the worst backward error, when that error exceeds BACKWARD_TOL.
     """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(p)
-    if p.degree < 1:
-        raise DomainError("root finding needs degree >= 1")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    n = p.degree
-    lead = p.coefficients[-1]
-    monic = [c / lead for c in p.coefficients]
-
-    r0 = max(abs(monic[0]) ** (1.0 / n), 0.5)
-    angles = 2.0 * np.pi * (np.arange(n) + 0.37) / n + 0.41
-    seeds = r0 * np.exp(1j * angles)
-
-    z, _ = _aberth_iterate(monic, seeds)
-    z = _newton_polish(p, np.array(z, dtype=complex))
-
-    if p.has_real_coefficients(tol=1e-14):
-        z = np.array(_symmetrize_conjugates(z), dtype=complex)
-
-    scale = max(1.0, max(abs(c) for c in p.coefficients))
-    residuals = np.array([abs(p(zi)) for zi in z]) / scale
-    if residuals.max() > tol:
+    c = np.asarray(coefficients, dtype=float)
+    dc = polyder(c)
+    z = polyroots(c).astype(complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            trial = z - polyval(z, c) / polyval(z, dc)
+            better = np.abs(polyval(trial, c)) < np.abs(polyval(z, c))
+            z = np.where(better, trial, z)
+    worst = float(np.max(backward_errors(c, z), initial=0.0))
+    if not worst <= BACKWARD_TOL:
         raise NonConvergence(
-            f"root residual {residuals.max():.3e} exceeds tol {tol:.3e}",
-            best=list(z),
-            residual=float(residuals.max()),
-        )
-    order = np.lexsort((z.imag, z.real))
-    return [complex(z[i]) for i in order]
+            f"root backward error {worst:.3e} exceeds {BACKWARD_TOL:.0e}",
+            best=list(z), residual=worst)
+    return [complex(z[i]) for i in np.lexsort((z.imag, z.real))]

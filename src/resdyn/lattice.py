@@ -32,7 +32,6 @@ from .errors import (
     ValidityWarning,
 )
 from .kernel import (
-    Polynomial,
     bessel_j1,
     piecewise_quad,
     poly_roots,
@@ -86,12 +85,6 @@ class StateClass(enum.Enum):
     ANTI_RESONANT = "anti-resonant"
 
 
-class Representation(enum.Enum):
-    DIRECT_CONTOUR = "direct-contour"
-    BESSEL_COMPONENT_SUM = "bessel-component-sum"
-    ISOLATED_RESIDUE = "isolated-residue"
-
-
 @dataclass(frozen=True)
 class DiscreteState:
     """One point-spectrum eigenstate and its survival-weight residues.
@@ -128,28 +121,6 @@ class ZenoReport:
     t0: float
     tz: float
     imag_fraction: float
-
-
-@dataclass(frozen=True)
-class AmplitudeSeries:
-    """Amplitude values on a time grid, tagged with their provenance."""
-
-    times: tuple
-    values: tuple
-    representation: Representation
-    component: str = "total"
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if t.ndim != 1 or len(t) != len(v) or len(t) == 0:
-            raise DomainError("times and values must be matching 1-d sequences")
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise DomainError("times must be strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise DomainError("times and values must be finite")
-        object.__setattr__(self, "times", tuple(float(x) for x in t))
-        object.__setattr__(self, "values", tuple(complex(x) for x in v))
 
 
 _CLASS_ORDER = {
@@ -238,9 +209,13 @@ def classify(lam, energy, tol=1e-9):
     return StateClass.RESONANT if energy.imag < 0 else StateClass.ANTI_RESONANT
 
 
-def discrete_spectrum(params, root_tol=1e-12):
+def discrete_spectrum(params):
     """Roots of the quartic plus residue weights, classified.
 
+    The roots are companion-matrix eigenvalues with a Newton polish, each
+    an exact root of the quartic with coefficients perturbed by at most
+    1e-10 relative (``kernel.roots.BACKWARD_TOL``), also next to T = b,
+    where one root grows without bound as the leading coefficient vanishes.
     Weights follow from residues of the resolvent matrix elements:
     W_n = 1/(h(lam_n) f'(lam_n)), w_n = b g^2 W_n / lam_n, and the d1-d2
     channel q_n = -g b/(lam_n f'(lam_n)).  Near-degenerate root pairs and
@@ -256,7 +231,7 @@ def discrete_spectrum(params, root_tol=1e-12):
         warnings.warn("lead coupling makes the quartic a cubic; 3 states",
                       DegenerateLeadCoupling)
         coeffs = coeffs[:4]
-    roots = poly_roots(Polynomial(coeffs), tol=root_tol)
+    roots = poly_roots(coeffs)
 
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):

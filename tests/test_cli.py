@@ -380,6 +380,44 @@ def test_fig11_recipe_total_even_and_components_split(tmp_path):
     assert r2[mask_pos].max() > 100.0 * r2[mask_neg].max()
 
 
+def test_non_finite_series_exits_3_naming_it(tmp_path, capsys, monkeypatch):
+    from resdyn import friedrichs as fm
+    component = fm.a_component
+
+    def broken(params, n, t, poles=None):
+        values = component(params, n, t, poles=poles)
+        if n == "R":
+            values[4] = np.nan
+        return values
+
+    monkeypatch.setattr(fm, "a_component", broken)
+    cfg = write_cfg(tmp_path, """
+[run]
+schema_version = 1
+model = friedrichs
+command = friedrichs
+
+[params]
+omega1 = 1.0
+beta = 0.5
+g = 0.1
+
+[time]
+t_min = -6.05
+t_max = 5.95
+n_points = 13
+
+[survival]
+components = true
+""")
+    out = tmp_path / "o.csv"
+    assert main(["friedrichs", "--config", cfg, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "a_R" in err["message"] and "t = -2.05" in err["message"]
+    assert not out.exists()
+
+
 def test_zeno_command_success(tmp_path):
     cfg = BASE_TDOT.format(command="zeno", eps1="0.2", extra="")
     out = str(tmp_path / "zeno.json")

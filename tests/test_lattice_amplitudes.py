@@ -194,20 +194,6 @@ def test_theta_total_at_zero(fig9_spectrum):
         assert abs(total - 1.0 / np.sqrt(2.0)) < 1e-10
 
 
-def test_amplitude_series_validation():
-    from resdyn.lattice import AmplitudeSeries, Representation
-    from resdyn.errors import DomainError
-    s = AmplitudeSeries((0.0, 1.0), (1.0 + 0j, 0.5 + 0.1j),
-                        Representation.DIRECT_CONTOUR)
-    assert s.component == "total"
-    with pytest.raises(DomainError):
-        AmplitudeSeries((1.0, 0.0), (0j, 0j), Representation.DIRECT_CONTOUR)
-    with pytest.raises(DomainError):
-        AmplitudeSeries((0.0,), (np.inf + 0j,), Representation.DIRECT_CONTOUR)
-    with pytest.raises(DomainError):
-        AmplitudeSeries((0.0, 1.0), (0j,), Representation.DIRECT_CONTOUR)
-
-
 def test_parallel_grid_map_is_bit_identical(fig9_spectrum):
     from concurrent.futures import ThreadPoolExecutor
     times = list(np.linspace(-5.0, 5.0, 21))

@@ -1,5 +1,10 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from resdyn.errors import (
     DegenerateLeadCoupling,
@@ -232,11 +237,11 @@ def test_ep_is_at_the_near_degenerate_reference_point():
 
 def test_ep_discriminant_matches_root_product():
     rng = np.random.default_rng(17)
-    from resdyn.kernel import Polynomial, poly_roots
+    from resdyn.kernel import poly_roots
     for _ in range(10):
         p, _s = random_tdot_params(rng)
         coeffs = p4_coefficients(p)
-        roots = poly_roots(Polynomial(coeffs), tol=1e-10)
+        roots = poly_roots(coeffs)
         prod = np.prod([(roots[i] - roots[j]) ** 2
                         for i in range(4) for j in range(i + 1, 4)])
         from_roots = (coeffs[4] ** 6 * prod).real
@@ -248,3 +253,87 @@ def test_ep_no_sign_change_raises():
     with pytest.raises(NoSignChange):
         ep_locate(FIG9_PARAMS, -0.5, 0.0)  # both ends right of the EP
 
+
+
+# ---------------------------------------------------------------------------
+# the root solve across the domain, quartic-to-cubic degeneracy included
+
+def _backward_errors(coeffs, lams):
+    """|P(lam)| / sum_k |c_k| |lam|^k by plain Horner."""
+    out = []
+    for lam in lams:
+        num = den = 0.0
+        for c in reversed(coeffs):
+            num = num * lam + c
+            den = den * abs(lam) + abs(c)
+        out.append(abs(num) / den)
+    return out
+
+
+def _quartic_of(spectrum):
+    coeffs = p4_coefficients(spectrum.params)
+    return coeffs[:4] if "degenerate-lead-coupling" in spectrum.flags else coeffs
+
+
+def _near_lead_degeneracy(b, delta, angle, eps1, eps2, g):
+    """Parameters with lead coupling T = b(1 + delta)."""
+    r = np.sqrt(b * b * (1.0 + delta))
+    return TDotParams(b, eps1, eps2, g, r * np.cos(angle), r * np.sin(angle))
+
+
+_NEAR_T_EQUALS_B = st.builds(
+    _near_lead_degeneracy,
+    st.floats(0.5, 2.0),
+    st.builds(lambda sign, x: sign * 10.0 ** x,
+              st.sampled_from((-1.0, 1.0)), st.floats(-12.0, -2.0)),
+    st.floats(0.1, np.pi / 2 - 0.1),
+    st.floats(-3.0, 3.0), st.floats(-1.5, 1.5), st.floats(0.15, 1.2))
+_GENERIC_BOX = st.builds(
+    TDotParams, st.just(1.0), st.floats(-3.0, 3.0), st.floats(-1.5, 1.5),
+    st.floats(0.15, 1.2), st.floats(0.3, 1.4), st.floats(0.3, 1.4))
+
+
+@given(st.one_of(_NEAR_T_EQUALS_B, _GENERIC_BOX))
+# generic draws with T within 1.3% of b that an Aberth solve gave up on
+@example(TDotParams(1.0, 1.25647409428993, -0.565023886643079,
+                    0.522372443335455, 0.417504673375354, 0.9158850660824451))
+@example(TDotParams(1.0, 1.5106104923107715, 0.9035456824467785,
+                    0.2715906283706809, 0.7397139532518964, 0.6899239019843206))
+@example(TDotParams(1.0, -0.4339297966245339, -0.8164524245826343,
+                    1.0645380568627532, 0.740203440278933, 0.6611505672772962))
+def test_spectrum_exists_across_the_domain(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = discrete_spectrum(params)
+    lams = [state.lam for state in s.states]
+    assert max(_backward_errors(_quartic_of(s), lams)) <= 1e-10
+    for state in s.states:
+        energy = -params.b * (state.lam + 1.0 / state.lam)
+        assert abs(state.energy - energy) <= 1e-12 * max(1.0, abs(energy))
+    gap = min(abs(lam - other) for i, lam in enumerate(lams)
+              for other in lams[i + 1:])
+    if gap >= 1e-2:
+        # closer to the EP the defect reflects the conditioning (3e-7 seen)
+        assert s.completeness_defect() <= 1e-8
+    for lam in lams:
+        assert lam.imag == 0 or lam.conjugate() in lams
+
+
+_FIG9_EPS1 = (0.2, 0.0, -1.0, -2.0, -4.0)  # fig5/6/9, and fig2's sweep
+_DELTAS = (1e-3, -1e-6, 1e-9)
+
+
+@pytest.mark.parametrize("params", [
+    TDotParams(1.0, eps1, 0.0, 0.4, 1.0, 1.0) for eps1 in _FIG9_EPS1
+] + [_near_lead_degeneracy(1.0, d, np.pi / 4, 0.2, 0.3, 0.4) for d in _DELTAS])
+def test_roots_match_fifty_digit_polyroots(params):
+    s = discrete_spectrum(params)
+    coeffs = _quartic_of(s)
+    with mpmath.workdps(50):
+        ref = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)],
+                               maxsteps=200, extraprec=200)
+        ref = [complex(r) for r in ref]
+    assert len(ref) == len(s.states)
+    for state in s.states:
+        err = min(abs(state.lam - r) for r in ref)
+        assert err <= 1e-15 * max(1.0, abs(state.lam)), (state.lam, err)
