@@ -12,6 +12,7 @@ propagator that ground-truths everything.
 from .friedrichs import (
     FriedrichsParams,
     FriedrichsPoles,
+    Pole,
     a_component,
     a_component_asymptotic,
     a_cut_direct,
@@ -50,6 +51,7 @@ __all__ = [
     "DiscreteState",
     "FriedrichsParams",
     "FriedrichsPoles",
+    "Pole",
     "PropagationResult",
     "Spectrum",
     "StateClass",

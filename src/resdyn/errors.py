@@ -60,26 +60,6 @@ class PoleProximity(ResdynError):
     """Evaluation point is too close to a pole for a meaningful value."""
 
 
-class UnexpectedRootPattern(ResdynError):
-    """Root structure differs from the one the formulas assume.
-
-    Carries the offending roots for inspection.
-    """
-
-    def __init__(self, message, roots=None):
-        super().__init__(message)
-        self.roots = roots
-
-
-class BranchCheckFailed(ResdynError):
-    """Closed-form cut components do not add up to the integrated cut.
-
-    The Friedrichs components A_B + A_R + A_AR must equal the branch-cut
-    integral A_cut exactly; a mismatch beyond the tolerances means a wrong
-    erfc square-root branch or a cut quadrature that missed its tolerance.
-    """
-
-
 class ConfigError(ResdynError):
     """Run configuration is missing, malformed, or inconsistent."""
 

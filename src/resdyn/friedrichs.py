@@ -1,9 +1,10 @@
 """Friedrichs model: a discrete level coupled to a half-line continuum.
 
-The level-shift function has one bound pole on the negative axis and a
-resonance/anti-resonance pair on the second sheet; the branch-cut integral
-of the survival amplitude splits into three pole components whose closed
-forms involve the complementary error function.
+The cut integrand of the survival amplitude is sqrt(beta E) 2 g^2 / C(E)
+with C = Q/(E + beta) a monic cubic, so it splits into one closed-form
+component per root E_n of C, with weight w_n = 2 g^2 / C'(E_n): a real root
+B (bound or virtual) and a resonance pair R, AR, or, for a deep level with
+weak coupling, B on the first sheet and two virtual states V1, V2.
 
 The square-root branches of those closed forms are derived, not searched.
 With a = sqrt(E) (principal root) for a pole at E,
@@ -22,6 +23,17 @@ takes sa = -c sigma and sb = -c sigma kappa, where kappa = zeta/sqrt(iEt) =
 sigma and c flip together, and c sigma = sign Im a on every ray, so the
 rule is computed as sa = -sign Im sqrt(E), sb = sa kappa: one pair per pole
 and sign of t, with no quadrature and no state kept between calls.
+
+With z_n = i sqrt(i E_n t), the product e^{-iE_n t} erfc(sb z_n) is the
+single Faddeeva value w(i sb z_n), which neither overflows nor underflows
+at large |t Im E_n|.  The weights of a monic cubic sum to zero, so the
+sqrt(pi/(it)) terms cancel exactly from the survival amplitude
+
+  A(t) = r_B e^{-i E_B t} - i pi sqrt(beta) sum_n w_n sa_n sqrt(E_n) w(i sb_n z_n),
+
+r_B being the residue of the Green's function at B (0 for a virtual
+state); at t = 0, w(0) = 1.  ``a_cut_direct`` integrates the cut instead,
+sharing none of this, as the reference of ``oracle-check``.
 """
 
 from __future__ import annotations
@@ -30,19 +42,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wofz
 
 from .errors import (
     DomainError,
     PoleProximity,
-    UnexpectedRootPattern,
     ValidityWarning,
 )
 from .kernel import (
     adaptive_quad,
-    erfc_complex,
-    piecewise_quad,  # noqa: F401  (bench/spans.py traces the kernel here)
+    erfc_complex,  # noqa: F401  (bench/spans.py traces the kernel here)
+    piecewise_quad,  # noqa: F401  (likewise)
     poly_roots,
-    sqrt_poscut,
 )
 from .lattice import (
     DEFAULT_TOLERANCES,
@@ -70,22 +81,33 @@ class FriedrichsParams:
 
 
 @dataclass(frozen=True)
-class FriedrichsPoles:
-    """The three poles of the cut integrand and their weights.
+class Pole:
+    """A root E_n of the cubic, its label and its partial-fraction weight."""
 
-    w_* are the partial-fraction weights of the cut integral; bound_residue
-    is the residue of the Green's function at the bound pole, i.e. the
-    weight of the bound term of the survival amplitude.
+    label: str
+    energy: complex
+    weight: complex
+
+
+@dataclass(frozen=True)
+class FriedrichsPoles:
+    """The roots of the cubic in component order, B first.
+
+    bound_residue is the residue of the Green's function at B, i.e. the
+    weight of the bound term of the survival amplitude (0 when B is a
+    virtual state).  ``poles[label]`` looks a root up by its label.
     """
 
-    e_bound: float
-    e_res: complex
-    e_ares: complex
-    w_bound: complex
-    w_res: complex
-    w_ares: complex
+    roots: tuple
     bound_residue: float
     params: FriedrichsParams
+
+    def __getitem__(self, label):
+        for pole in self.roots:
+            if pole.label == label:
+                return pole
+        raise DomainError(f"no pole {label!r}; the poles are "
+                          + ", ".join(p.label for p in self.roots))
 
 
 def _two_pi_g2(params):
@@ -103,116 +125,115 @@ def green_function(params, e, side="above"):
         sgn = 1.0 if side == "above" else -1.0
         denom = e - omega1 + tpg * (beta + sgn * 1j * np.sqrt(beta * e)) / (beta + e)
     else:
-        root = sqrt_poscut(beta * e)  # = i sqrt(beta |e|)
-        # i * root is exactly real; keep the value real so both sides agree
-        denom = e - omega1 + tpg * (beta - root.imag) / (beta + e)
+        denom = _eta_negative_axis(params, e)  # real, so both sides agree
     if abs(denom) < 1e-12:
         raise PoleProximity(f"Green's function pole within 1e-12 at E = {e}")
     return 1.0 / denom
 
 
 def _eta_negative_axis(params, e):
-    """Level-shift denominator on E < 0 (real there)."""
-    beta, omega1 = params.beta, params.omega1
-    u = np.sqrt(-beta * e)
-    return e - omega1 + _two_pi_g2(params) * (beta - u) / (beta + e)
+    """Level-shift denominator on E < 0 (real there).  With u = sqrt(-beta E),
+    (beta - u)/(beta + E) = beta/(beta + u), which does not cancel near
+    E = -beta."""
+    u = np.sqrt(-params.beta * e)
+    return e - params.omega1 + _two_pi_g2(params) * params.beta / (params.beta + u)
 
 
 def _eta_prime_negative_axis(params, e):
+    u = np.sqrt(-params.beta * e)
+    return 1.0 + _two_pi_g2(params) * params.beta ** 2 / (2.0 * u * (params.beta + u) ** 2)
+
+
+def _scaled_cubic(params):
+    """C = Q/(E + beta) in y = (E - omega1)/(2 pi g^2), divided by
+    (2 pi g^2)^2: 2 pi g^2 y^3 + (omega1 + beta) y^2 + 2 beta y + beta,
+    ascending.  However weak the coupling, the resonance pair stays at
+    y = O(1), where its imaginary part keeps its relative precision."""
     beta = params.beta
-    u = np.sqrt(-beta * e)
-    up = -beta / (2.0 * u)
-    return 1.0 + _two_pi_g2(params) * (-up * (beta + e) - (beta - u)) / (beta + e) ** 2
+    return np.array([beta, 2.0 * beta, params.omega1 + beta, _two_pi_g2(params)])
 
 
-def _quartic_coefficients(params):
-    """Q(E) = [(E+beta)(E-omega1) + 2 pi g^2 beta]^2 + (2 pi g^2)^2 beta E."""
+def _quartic(params, e):
+    """Q(E) and Q'(E) in the factored form Q = N^2 + (2 pi g^2)^2 beta E,
+    N = (E + beta)(E - omega1) + 2 pi g^2 beta, which keeps the digits that
+    the expanded coefficients lose."""
     beta, omega1 = params.beta, params.omega1
     tpg = _two_pi_g2(params)
-    n = np.array([beta * (tpg - omega1), beta - omega1, 1.0])
-    q = np.convolve(n, n)
-    q[1] += tpg ** 2 * beta
-    return q
+    n = (e + beta) * (e - omega1) + tpg * beta
+    return (n * n + tpg ** 2 * beta * e,
+            2.0 * n * (2.0 * e + beta - omega1) + tpg ** 2 * beta)
 
 
 def cut_integrand_rational(params, e):
     """2 g^2 (E + beta) / Q(E): the rational part of the cut integrand."""
-    q = _quartic_coefficients(params)
     e = np.asarray(e, dtype=complex)
-    qe = np.zeros_like(e)
-    for c in q[::-1]:
-        qe = qe * e + c
-    return 2.0 * params.g ** 2 * (e + params.beta) / qe
+    return 2.0 * params.g ** 2 * (e + params.beta) / _quartic(params, e)[0]
+
+
+def _newton_on_quartic(params, e):
+    """Two Newton steps on Q at the real roots e, each kept only where it
+    lowers |Q|."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            q, dq = _quartic(params, e)
+            trial = e - q / dq
+            e = np.where(np.abs(_quartic(params, trial)[0]) < np.abs(q),
+                         trial, e)
+    return e
 
 
 def friedrichs_poles(params):
-    """Deflate E = -beta from the quartic, solve the cubic, attach weights.
+    """The roots of the cubic with their labels and weights.
 
-    Raises UnexpectedRootPattern unless the cubic has exactly one real
-    negative root (on the physical sheet of the level-shift function) plus
-    a complex-conjugate pair.
+    One real root and a conjugate pair are labelled B, R, AR; three real
+    roots B, V1, V2, where B is the one that solves the first-sheet
+    level-shift equation (at most one does, as that function increases
+    monotonically on E < 0).  g = 0 raises DomainError.
     """
-    q = _quartic_coefficients(params)
-    beta = params.beta
-    # synthetic division of Q by (E + beta); E = -beta is an exact root
-    cubic = np.zeros(4)
-    carry = 0.0
-    for k in range(4, 0, -1):
-        cubic[k - 1] = q[k] + carry
-        carry = -beta * cubic[k - 1]
-    remainder = q[0] + carry
-    scale = float(np.max(np.abs(q)))
-    if abs(remainder) > 1e-10 * scale:
-        raise UnexpectedRootPattern(
-            f"E = -beta fails to deflate (remainder {remainder:.3e})")
+    beta, tpg = params.beta, _two_pi_g2(params)
+    if tpg == 0.0:
+        raise DomainError("g = 0 decouples the level: there is no cut")
+    roots = [params.omega1 + tpg * y for y in poly_roots(_scaled_cubic(params))]
+    # a real root far from omega1 loses digits to the cancellation in
+    # omega1 + 2 pi g^2 y; Newton on Q wins them back
+    reals = np.sort(_newton_on_quartic(
+        params, np.array([r.real for r in roots if r.imag == 0])))
+    lower = [r for r in roots if r.imag < 0]
+    eta_first = _eta_negative_axis(params, reals)
+    eta_second = (reals - params.omega1
+                  + tpg * beta / (beta - np.sqrt(-beta * reals)))
+    b = int(np.argmin(np.abs(eta_first) - np.abs(eta_second)))
+    e_bound = float(reals[b])
+    if len(lower):
+        e_res = complex(lower[0])
+        energies = {"B": complex(e_bound), "R": e_res, "AR": e_res.conjugate()}
+    else:
+        v1, v2 = np.delete(reals, b)
+        energies = {"B": complex(e_bound), "V1": complex(v1), "V2": complex(v2)}
 
-    roots = poly_roots(cubic)
-    reals = [r for r in roots if r.imag == 0]
-    pairs = [r for r in roots if r.imag != 0]
-    if len(reals) != 1 or len(pairs) != 2 or reals[0].real >= 0:
-        raise UnexpectedRootPattern(
-            "expected one real negative root and a conjugate pair",
-            roots=roots)
-    e_bound = float(reals[0].real)
-    eta_first = _eta_negative_axis(params, e_bound)
-    eta_second = (e_bound - params.omega1
-                  + _two_pi_g2(params) * (params.beta + np.sqrt(-params.beta * e_bound))
-                  / (params.beta + e_bound))
-    tol_eta = 1e-8 * max(1.0, abs(e_bound), abs(params.omega1))
-    if abs(eta_first) > tol_eta and abs(eta_second) > tol_eta:
-        raise UnexpectedRootPattern(
-            "real root solves the level-shift equation on neither sheet",
-            roots=roots)
-    first_sheet = abs(eta_first) <= abs(eta_second)
-    e_res = min(pairs, key=lambda r: r.imag)
-    if e_res.imag >= 0:
-        raise UnexpectedRootPattern("no pole with negative imaginary part",
-                                    roots=roots)
-    e_ares = np.conj(e_res)
-
-    dcubic = np.array([cubic[1], 2 * cubic[2], 3 * cubic[3]])
-
-    def cprime(e):
-        return dcubic[0] + dcubic[1] * e + dcubic[2] * e * e
-
-    g2 = params.g ** 2
-    w_bound = complex(2.0 * g2 / cprime(e_bound))
-    w_res = complex(2.0 * g2 / cprime(e_res))
-    w_ares = np.conj(w_res)
-    # a true bound state exists only when the negative real root zeroes the
-    # first-sheet level-shift function; otherwise it is a virtual state and
-    # the survival amplitude is carried by the cut alone (A_cut(0) = 1)
-    if first_sheet:
+    # C'(E_n) = prod_{m != n} (E_n - E_m) for the monic cubic: the product
+    # of root differences keeps the digits that evaluating C' from its
+    # coefficients loses next to a narrow resonance
+    weights = {n: complex(2.0 * params.g ** 2 / np.prod(
+        [energies[n] - energies[m] for m in energies if m != n]))
+        for n in energies}
+    if "AR" in weights:
+        weights["AR"] = weights["R"].conjugate()
+    # a true bound state exists only when B zeroes the first-sheet
+    # level-shift function; otherwise it is a virtual state and the
+    # survival amplitude is carried by the cut alone (A_cut(0) = 1)
+    if abs(eta_first[b]) <= abs(eta_second[b]):
         bound_residue = float(1.0 / _eta_prime_negative_axis(params, e_bound))
     else:
         bound_residue = 0.0
-    return FriedrichsPoles(e_bound, complex(e_res), complex(e_ares),
-                           w_bound, w_res, complex(w_ares), bound_residue,
-                           params)
+    return FriedrichsPoles(
+        tuple(Pole(label, energies[label], weights[label])
+              for label in energies),
+        bound_residue, params)
 
 
 # ---------------------------------------------------------------------------
-# quadrature of the cut integral and of single-pole components
+# the reference: quadrature of the cut integral
 
 
 def _tail_rotated(f_of_e, e0, times, tol, what):
@@ -233,7 +254,7 @@ def _tail_rotated(f_of_e, e0, times, tol, what):
 
         with _quadrature_context(what, 0.0, 0.0, tol):
             res = adaptive_quad(mapped, 0.0, 1.0, abs_tol=tol.abs_tol,
-                                rel_tol=tol.rel_tol, open_interval=True)
+                                rel_tol=tol.rel_tol)
         return np.full(len(times), res.value)
     direction = -1j if times[0] > 0 else 1j
     t_lo, t_hi = np.abs(times).min(), np.abs(times).max()
@@ -290,9 +311,11 @@ def a_cut_direct(params, t, tol=DEFAULT_TOLERANCES, poles=None):
     times, scalar = _time_grid(t)
     p = poles if poles is not None else friedrichs_poles(params)
     beta = params.beta
-    e0 = max(50.0 * beta, 50.0 * abs(p.e_res), 10.0 * abs(params.omega1), 10.0)
+    energies = [pole.energy for pole in p.roots]
+    e0 = max(50.0 * beta, 50.0 * max(map(abs, energies)),
+             10.0 * abs(params.omega1), 10.0)
     u0 = np.sqrt(e0)
-    u_res = float(np.sqrt(p.e_res).real)
+    u_res = max(float(np.sqrt(e).real) for e in energies)
     special_u = (u_res - 0.2, u_res, u_res + 0.2, np.sqrt(beta))
 
     def main_integrand(tc):
@@ -319,13 +342,22 @@ def a_cut_direct(params, t, tol=DEFAULT_TOLERANCES, poles=None):
     return complex(out[0]) if scalar else out
 
 
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+def _faddeeva_term(beta, weight, energy, t, sign_root_e, sign_erfc):
+    """-i pi sqrt(beta) w sa sqrt(E) w(i sb z): the part of a pole's cut
+    component that survives in the sum over the poles (module docstring)."""
+    z = 1j * np.sqrt(1j * energy * t)
+    return (-1j * np.pi * np.sqrt(beta) * weight * sign_root_e
+            * np.sqrt(energy) * wofz(1j * sign_erfc * z))
+
+
 def _fm7_value(beta, weight, energy, t, sign_root_e, sign_erfc):
     term1 = np.sqrt(-1j * (np.pi / t))  # sqrt(pi/(it)), rounded once
-    zeta = 1j * np.sqrt(1j * energy * t)
-    term2 = (np.pi * 1j * sign_root_e * np.sqrt(energy)
-             * np.exp(-1j * t * energy)
-             * erfc_complex(sign_erfc * zeta))
-    return weight * np.sqrt(beta) * (term1 - term2)
+    return (weight * np.sqrt(beta) * term1
+            + _faddeeva_term(beta, weight, energy, t, sign_root_e, sign_erfc))
 
 
 def _erfc_branches(energy, t_sign):
@@ -338,19 +370,8 @@ def _erfc_branches(energy, t_sign):
     return sa, (sa if kappa > 0 else -sa)
 
 
-def _pole_by_label(poles, n):
-    table = {
-        "B": (poles.e_bound + 0.0j, poles.w_bound),
-        "R": (poles.e_res, poles.w_res),
-        "AR": (poles.e_ares, poles.w_ares),
-    }
-    if n not in table:
-        raise DomainError("component label must be one of 'B', 'R', 'AR'")
-    return table[n]
-
-
 def a_component(params, n, t, poles=None):
-    """Closed-form single-pole cut component A_n(t) via erfc.
+    """Closed-form single-pole cut component A_n(t) for the pole labelled n.
 
     ``t`` is a time or a 1-d grid (a grid gives an array).  The square-root
     branches follow from the pole and the sign of t alone (module
@@ -361,13 +382,13 @@ def a_component(params, n, t, poles=None):
     if np.any(times == 0.0):
         raise DomainError("single cut components diverge at t = 0")
     p = poles if poles is not None else friedrichs_poles(params)
-    energy, weight = _pole_by_label(p, n)
+    pole = p[n]
     out = np.empty(len(times), dtype=complex)
     for t_sign, side in ((1, times > 0.0), (-1, times < 0.0)):
         if side.any():
-            sa, sb = _erfc_branches(energy, t_sign)
-            out[side] = _fm7_value(params.beta, weight, energy, times[side],
-                                   sa, sb)
+            sa, sb = _erfc_branches(pole.energy, t_sign)
+            out[side] = _fm7_value(params.beta, pole.weight, pole.energy,
+                                   times[side], sa, sb)
     return complex(out[0]) if scalar else out
 
 
@@ -388,21 +409,29 @@ def a_component_asymptotic(params, t, poles=None):
             "the power-law form holds only in the large-negative-time regime "
             "(-t |E_R| >> 1); t >= 0 requested")
     p = poles if poles is not None else friedrichs_poles(params)
-    if -times.max() * abs(p.e_res) < 10.0:
+    res = p["R"]
+    if -times.max() * abs(res.energy) < 10.0:
         warnings.warn("asymptotic resonant form used at -t |E_R| < 10",
                       ValidityWarning)
-    sa, sb = _erfc_branches(p.e_res, -1)
-    zeta = 1j * np.sqrt(1j * p.e_res * times)
-    out = (-sa * sb * p.w_res * np.sqrt(np.pi * params.beta * p.e_res)
+    sa, sb = _erfc_branches(res.energy, -1)
+    zeta = 1j * np.sqrt(1j * res.energy * times)
+    out = (-sa * sb * res.weight * np.sqrt(np.pi * params.beta * res.energy)
            * (-1j) / (2.0 * zeta ** 3))
     return complex(out[0]) if scalar else out
 
 
-def survival_total(params, t, tol=DEFAULT_TOLERANCES, poles=None):
-    """A(t): bound-state term plus the branch-cut integral; ``t`` is a time
-    or a 1-d grid (a grid gives an array)."""
+def survival_total(params, t, poles=None):
+    """A(t): the bound-state term plus the sum over every pole of its cut
+    component without the sqrt(pi/(it)) term, which cancels in the sum
+    (module docstring); ``t`` is a time or a 1-d grid (a grid gives an
+    array)."""
     times, scalar = _time_grid(t)
     p = poles if poles is not None else friedrichs_poles(params)
-    bound = p.bound_residue * np.exp(-1j * p.e_bound * times)
-    total = bound + a_cut_direct(params, times, tol=tol, poles=p)
+    total = p.bound_residue * np.exp(-1j * p["B"].energy.real * times)
+    for t_sign, side in ((1, times >= 0.0), (-1, times < 0.0)):
+        if side.any():
+            for pole in p.roots:
+                total[side] += _faddeeva_term(
+                    params.beta, pole.weight, pole.energy, times[side],
+                    *_erfc_branches(pole.energy, t_sign))
     return complex(total[0]) if scalar else total

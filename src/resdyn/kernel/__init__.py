@@ -7,7 +7,7 @@ from .quadrature import (
     piecewise_quad,
 )
 from .roots import poly_roots
-from .specfun import bessel_j1, erfc_complex, sqrt_poscut, upper_gamma_mhalf
+from .specfun import bessel_j1, erfc_complex, upper_gamma_mhalf
 
 __all__ = [
     "QuadratureResult",
@@ -16,6 +16,5 @@ __all__ = [
     "erfc_complex",
     "piecewise_quad",
     "poly_roots",
-    "sqrt_poscut",
     "upper_gamma_mhalf",
 ]

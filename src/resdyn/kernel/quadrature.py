@@ -4,8 +4,8 @@ Integrands must be vectorized: they receive a float ndarray of abscissae and
 return an ndarray of complex values, one per abscissa, or one row of m
 values per abscissa for a vector-valued integrand (cf. QUADPACK, Piessens
 et al. 1983, and ``scipy.integrate.quad_vec``).  Node placement never
-touches interval endpoints, so integrable endpoint behavior is tolerated
-when the caller declares it via ``open_interval``.
+touches interval endpoints, so integrable endpoint singularities are
+tolerated.
 """
 
 from __future__ import annotations
@@ -193,13 +193,11 @@ def _refine(f, pts, abs_tol, rel_tol, max_subdivisions):
 
 
 def adaptive_quad(f, a, b, abs_tol=1e-10, rel_tol=1e-8,
-                  max_subdivisions=4000, open_interval=False):
+                  max_subdivisions=4000):
     """Integrate ``f`` over [a, b] to max(abs_tol, rel_tol*|value|).
 
     Returns a QuadratureResult; raises ToleranceNotMet or MaxSubdivisions
     (both carrying the best result so far) when refinement stalls.
-    ``open_interval`` documents that f may be singular-but-integrable at the
-    endpoints; nodes are interior either way.
     """
     a = float(a)
     b = float(b)

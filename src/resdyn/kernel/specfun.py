@@ -55,25 +55,6 @@ def bessel_j1(x):
     return out.reshape(arr.shape)
 
 
-def sqrt_poscut(e):
-    """Square root with the branch cut on the positive real axis.
-
-    Real negative input maps to +i*sqrt(|e|); real positive input follows the
-    approach-from-above convention (+sqrt), with a signed-zero imaginary part
-    (-0.0j) selecting the below-cut value (-sqrt).  Im(result) >= 0 always.
-    """
-    arr = np.asarray(e, dtype=complex)
-    scalar = arr.ndim == 0
-    z = np.atleast_1d(arr)
-    theta = np.arctan2(z.imag, z.real)
-    below = (theta < 0) | ((z.imag == 0) & np.signbit(z.imag) & (z.real > 0))
-    theta = np.where(below, theta + 2.0 * np.pi, theta)
-    w = np.sqrt(np.abs(z)) * np.exp(0.5j * theta)
-    if scalar:
-        return complex(w[0])
-    return w.reshape(arr.shape)
-
-
 def erfc_complex(z):
     """Complementary error function for complex argument.
 

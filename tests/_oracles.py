@@ -3,11 +3,13 @@
 Everything here deliberately avoids the code paths it verifies: the series
 oracle sums the defining power series term by term, the contour oracles
 quadrature the defining integrals directly, the root tracker continues
-an eigenvalue branch step by step instead of using the closed forms, and
-the Friedrichs branch search picks the erfc square-root branches by
-comparison with the defining integral instead of the derived rule.
+an eigenvalue branch step by step instead of using the closed forms, the
+Friedrichs branch search picks the erfc square-root branches by comparison
+with the defining integral instead of the derived rule, and the Friedrichs
+pole sum is redone at 40 digits with mpmath's roots and erfc.
 """
 
+import mpmath as mp
 import numpy as np
 
 from resdyn.friedrichs import _cut_main_breakpoints, _fm7_value, _tail_rotated
@@ -139,3 +141,49 @@ def friedrichs_branch_search(params, energy, weight, t_sign, tol):
             if best is None or worst < best[2]:
                 best = (sa, sb, worst)
     return best
+
+
+def friedrichs_total_mp(params, times, dps=40):
+    """The Friedrichs survival amplitude as the sum over the cubic's roots,
+    at ``dps`` digits: the quartic built from its definition and deflated
+    by E = -beta, roots by ``mp.polyroots``, weights 2 g^2 / C'(E_n), the
+    bound residue by differentiating the first-sheet level-shift function,
+    and e^{-iEt} erfc(sb zeta) from ``mp.erfc``."""
+    with mp.workdps(dps):
+        w1, beta, g = (mp.mpf(x) for x in (params.omega1, params.beta, params.g))
+        tpg = 2 * mp.pi * g ** 2
+        # N = E^2 + (beta - w1) E + beta (tpg - w1); Q = N^2 + tpg^2 beta E
+        n = [mp.mpf(1), beta - w1, beta * (tpg - w1)]  # descending
+        q = [n[0] ** 2, 2 * n[0] * n[1], n[1] ** 2 + 2 * n[0] * n[2],
+             2 * n[1] * n[2] + tpg ** 2 * beta, n[2] ** 2]
+        cubic = [q[0]]
+        for k in range(1, 4):
+            cubic.append(q[k] - beta * cubic[-1])
+        roots = [mp.mpc(mp.re(r), 0) if abs(mp.im(r)) < mp.mpf(10) ** (5 - dps)
+                 else mp.mpc(r)
+                 for r in mp.polyroots(cubic, maxsteps=200, extraprec=2 * dps)]
+
+        def eta_first(e):
+            return e - w1 + tpg * (beta - mp.sqrt(-beta * e)) / (beta + e)
+
+        bound = []
+        for r in roots:
+            if mp.im(r) == 0 and abs(eta_first(mp.re(r))) < mp.mpf(10) ** (10 - dps):
+                bound.append((mp.re(r), 1 / mp.diff(eta_first, mp.re(r))))
+        out = []
+        for t in times:
+            t = mp.mpf(float(t))
+            total = sum((res * mp.exp(-1j * e * t) for e, res in bound),
+                        mp.mpc(0))
+            for i, r in enumerate(roots):
+                cprime = mp.fprod(r - s for j, s in enumerate(roots) if j != i)
+                root = mp.sqrt(r)
+                sa = -1 if mp.im(root) > 0 else 1
+                ts = 1 if t >= 0 else -1
+                kappa = mp.re(mp.sqrt(1j * ts) * root / mp.sqrt(1j * r * ts))
+                sb = sa if kappa > 0 else -sa
+                zeta = 1j * mp.sqrt(1j * r * t)
+                total += (-1j * mp.pi * mp.sqrt(beta) * (2 * g ** 2 / cprime)
+                          * sa * root * mp.exp(-1j * r * t) * mp.erfc(sb * zeta))
+            out.append(complex(total))
+    return np.array(out)

@@ -35,8 +35,8 @@ def test_c01_spectrum_golden_values(fig9_spectrum):
 
 
 def test_c02_friedrichs_golden_values(fig11_poles):
-    assert abs(fig11_poles.e_res - FM_E_R_REF) <= 5e-3
-    assert abs(1.0 / abs(fig11_poles.e_res) - 1.02) <= 0.01 * 1.02
+    assert abs(fig11_poles["R"].energy - FM_E_R_REF) <= 5e-3
+    assert abs(1.0 / abs(fig11_poles["R"].energy) - 1.02) <= 0.01 * 1.02
     _report(2, "Friedrichs E_R within 5e-3 and 1/|E_R| = 1.02 within 1%")
 
 
@@ -101,8 +101,8 @@ def test_c06_time_reversal_suite(fig9_spectrum, fig11_poles):
         ap = lat.survival_direct(FIG9_PARAMS, t, tol=TIGHT, spectrum=fig9_spectrum)
         am = lat.survival_direct(FIG9_PARAMS, -t, tol=TIGHT, spectrum=fig9_spectrum)
         assert abs(abs(ap) - abs(am)) <= 1e-8
-        fp = fm.survival_total(FIG11_PARAMS, t, tol=TIGHT, poles=fig11_poles)
-        fmn = fm.survival_total(FIG11_PARAMS, -t, tol=TIGHT, poles=fig11_poles)
+        fp = fm.survival_total(FIG11_PARAMS, t, poles=fig11_poles)
+        fmn = fm.survival_total(FIG11_PARAMS, -t, poles=fig11_poles)
         assert abs(abs(fp) - abs(fmn)) <= 1e-8
     r_idx = fig9_spectrum.states.index(fig9_spectrum.resonant())
     ar_idx = fig9_spectrum.states.index(
@@ -152,7 +152,7 @@ def test_c08_long_time_laws(fig9_spectrum, fig11_poles):
     r_closed = lat.longtime_ratio(fig9_spectrum, 500.0)
     assert abs(r_exact - r_closed) <= 0.20 * r_closed
     # Friedrichs negative-time resonant power law
-    er = abs(fig11_poles.e_res)
+    er = abs(fig11_poles["R"].energy)
     tsf = -np.linspace(40.0, 160.0, 25) / er
     valsf = [abs(fm.a_component(FIG11_PARAMS, "R", float(t), poles=fig11_poles))
              for t in tsf]
@@ -195,9 +195,8 @@ def test_c09_analytic_identities(fig9_spectrum, fig11_poles):
     # Friedrichs pointwise integrand identity
     es = np.linspace(1e-3, 10.0, 100)
     rational = fm.cut_integrand_rational(FIG11_PARAMS, es)
-    poles_sum = (fig11_poles.w_bound / (es - fig11_poles.e_bound)
-                 + fig11_poles.w_res / (es - fig11_poles.e_res)
-                 + fig11_poles.w_ares / (es - fig11_poles.e_ares))
+    poles_sum = sum(pole.weight / (es - pole.energy)
+                    for pole in fig11_poles.roots)
     assert np.max(np.abs(rational - poles_sum)) <= 1e-10
     _report(9, "Bessel-transform identities (resonant via continuation, "
                "bound direct) to 1e-6; cut-integrand identity to 1e-10")

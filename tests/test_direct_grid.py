@@ -1,10 +1,11 @@
 """Grid forms of the independent totals and the vector-valued kernel.
 
-``survival_direct`` (the unit-circle contour) and ``a_cut_direct`` /
-``survival_total`` (the Friedrichs branch cut) take a whole time grid and
-integrate each group of times as one vector-valued quadrature.  Their grid
-values must match one-time calls, and the kernel's vector path must
-reproduce the scalar refinement exactly when it has one column.
+``survival_direct`` (the unit-circle contour) and ``a_cut_direct`` (the
+Friedrichs branch cut) take a whole time grid and integrate each group of
+times as one vector-valued quadrature; ``survival_total`` sums the poles on
+the grid.  Their grid values must match one-time calls, and the kernel's
+vector path must reproduce the scalar refinement exactly when it has one
+column.
 """
 
 import heapq
@@ -129,8 +130,10 @@ def test_every_column_meets_its_own_gate():
     assert res.evaluations >= hard_alone.evaluations
 
 
+# model -> (command, config); the Friedrichs cut is integrated only as the
+# reference of oracle-check
 FAILING_CONFIGS = {
-    "survival": """
+    "survival": ("survival", """
 [run]
 schema_version = 1
 model = tdot
@@ -152,12 +155,12 @@ n_points = 3
 [tolerances]
 abs_tol = 1e-300
 rel_tol = 1e-300
-""",
-    "friedrichs": """
+"""),
+    "friedrichs": ("oracle-check", """
 [run]
 schema_version = 1
 model = friedrichs
-command = friedrichs
+command = oracle-check
 
 [params]
 omega1 = 1.0
@@ -172,16 +175,17 @@ n_points = 3
 [tolerances]
 abs_tol = 1e-300
 rel_tol = 1e-300
-""",
+"""),
 }
 
 
-@pytest.mark.parametrize("command, series", [
+@pytest.mark.parametrize("model, series", [
     ("survival", "direct contour"), ("friedrichs", "Friedrichs cut main")])
-def test_quadrature_failure_names_the_total(tmp_path, capsys, command, series):
-    cfg = tmp_path / f"{command}.cfg"
-    cfg.write_text(FAILING_CONFIGS[command])
-    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+def test_quadrature_failure_names_the_total(tmp_path, capsys, model, series):
+    command, text = FAILING_CONFIGS[model]
+    cfg = tmp_path / f"{model}.cfg"
+    cfg.write_text(text)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] in ("ToleranceNotMet", "MaxSubdivisions")

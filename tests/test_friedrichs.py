@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from resdyn.errors import DomainError, PoleProximity, UnexpectedRootPattern
+from resdyn.errors import DomainError, PoleProximity
 from resdyn.friedrichs import (
     FriedrichsParams,
     a_component,
@@ -64,7 +64,7 @@ def test_green_function_against_discretized_level_shift():
 def test_pole_proximity_raises():
     poles = friedrichs_poles(STRONG)
     with pytest.raises(PoleProximity):
-        green_function(STRONG, poles.e_bound, "above")
+        green_function(STRONG, poles["B"].energy.real, "above")
 
 
 def test_green_rejects_bad_side():
@@ -77,13 +77,14 @@ def test_green_rejects_bad_side():
 
 
 def test_fig11_golden_pole(fig11_poles):
-    assert_close(fig11_poles.e_res, FM_E_R_REF, 5e-3, "E_R")
-    assert abs(1.0 / abs(fig11_poles.e_res) - 1.02) / 1.02 < 0.01
+    assert_close(fig11_poles["R"].energy, FM_E_R_REF, 5e-3, "E_R")
+    assert abs(1.0 / abs(fig11_poles["R"].energy) - 1.02) / 1.02 < 0.01
 
 
 def test_pole_conjugation(fig11_poles):
-    assert fig11_poles.e_ares == np.conj(fig11_poles.e_res)
-    assert fig11_poles.w_ares == np.conj(fig11_poles.w_res)
+    res, ares = fig11_poles["R"], fig11_poles["AR"]
+    assert ares.energy == np.conj(res.energy)
+    assert ares.weight == np.conj(res.weight)
 
 
 def test_minus_beta_deflates_exactly():
@@ -100,20 +101,22 @@ def test_cubic_residual_at_poles(fig11_poles):
     tpg = 2.0 * np.pi * p.g ** 2
     q_at = lambda e: ((e + p.beta) * (e - p.omega1) + tpg * p.beta) ** 2 \
         + tpg ** 2 * p.beta * e
-    for e in (fig11_poles.e_bound, fig11_poles.e_res, fig11_poles.e_ares):
-        assert abs(q_at(e)) < 1e-10
+    for pole in fig11_poles.roots:
+        assert abs(q_at(pole.energy)) < 1e-10
 
 
 def test_virtual_state_has_no_bound_residue(fig11_poles):
     # weak coupling: the negative real root solves the second-sheet equation
     assert fig11_poles.bound_residue == 0.0
-    assert abs(_eta_negative_axis(FIG11_PARAMS, fig11_poles.e_bound)) > 0.1
+    assert abs(_eta_negative_axis(FIG11_PARAMS,
+                                  fig11_poles["B"].energy.real)) > 0.1
 
 
 def test_strong_coupling_has_true_bound_state():
     poles = friedrichs_poles(STRONG)
-    assert abs(_eta_negative_axis(STRONG, poles.e_bound)) < 1e-8
-    expected = 1.0 / _eta_prime_negative_axis(STRONG, poles.e_bound)
+    e_bound = poles["B"].energy.real
+    assert abs(_eta_negative_axis(STRONG, e_bound)) < 1e-8
+    expected = 1.0 / _eta_prime_negative_axis(STRONG, e_bound)
     assert abs(poles.bound_residue - expected) < 1e-12
     assert 0.0 < poles.bound_residue < 1.0
 
@@ -130,17 +133,36 @@ def test_partial_fraction_identity_pointwise(fig11_poles):
     # rational part of the cut integrand == sum of the three pole terms
     es = np.linspace(1e-3, 10.0 * FIG11_PARAMS.beta, 100)
     rational = cut_integrand_rational(FIG11_PARAMS, es)
-    pole_sum = (fig11_poles.w_bound / (es - fig11_poles.e_bound)
-                + fig11_poles.w_res / (es - fig11_poles.e_res)
-                + fig11_poles.w_ares / (es - fig11_poles.e_ares))
+    pole_sum = sum(pole.weight / (es - pole.energy)
+                   for pole in fig11_poles.roots)
     assert np.max(np.abs(rational - pole_sum)) < 1e-10
 
 
-def test_unexpected_root_pattern_raises():
-    # deep level with weak narrow coupling: all three cubic roots are real
-    with pytest.raises(UnexpectedRootPattern) as err:
-        friedrichs_poles(FriedrichsParams(omega1=-3.0, beta=0.1, g=0.3))
-    assert err.value.roots is not None and len(err.value.roots) == 3
+def test_three_real_roots_are_labelled_b_v1_v2():
+    # deep level with weak narrow coupling: all three cubic roots are real,
+    # B on the first sheet and two virtual states
+    p = FriedrichsParams(omega1=-3.0, beta=0.1, g=0.3)
+    poles = friedrichs_poles(p)
+    assert [pole.label for pole in poles.roots] == ["B", "V1", "V2"]
+    assert all(pole.energy.imag == 0.0 for pole in poles.roots)
+    assert abs(_eta_negative_axis(p, poles["B"].energy.real)) < 1e-12
+    assert 0.0 < poles.bound_residue < 1.0
+    assert abs(survival_total(p, 0.0, poles=poles) - 1.0) < 1e-13
+
+
+def test_zero_coupling_has_no_poles():
+    with pytest.raises(DomainError, match="g = 0"):
+        friedrichs_poles(FriedrichsParams(omega1=1.0, beta=0.5, g=0.0))
+
+
+def test_narrow_resonance_keeps_its_width():
+    # Im E_R ~ 1e-12: the pair is solved in y = (E - omega1)/(2 pi g^2)
+    p = FriedrichsParams(omega1=1.0, beta=0.5, g=1e-6)
+    poles = friedrichs_poles(p)
+    tpg = 2.0 * np.pi * p.g ** 2
+    # to leading order in g, Im E_R = -2 pi g^2 sqrt(beta omega1)/(omega1 + beta)
+    assert abs(poles["R"].energy.imag / tpg + np.sqrt(0.5) / 1.5) < 1e-10
+    assert abs(survival_total(p, 0.0, poles=poles) - 1.0) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +182,8 @@ def test_survival_total_at_zero(fig11_poles):
 
 def test_survival_probability_even(fig11_poles):
     for t in (0.8, 5.0, 20.0):
-        ap = survival_total(FIG11_PARAMS, t, tol=TIGHT, poles=fig11_poles)
-        am = survival_total(FIG11_PARAMS, -t, tol=TIGHT, poles=fig11_poles)
+        ap = survival_total(FIG11_PARAMS, t, poles=fig11_poles)
+        am = survival_total(FIG11_PARAMS, -t, poles=fig11_poles)
         assert abs(abs(ap) - abs(am)) < 1e-6
 
 
@@ -175,11 +197,7 @@ def test_cut_equals_component_sum(fig11_poles):
 
 def test_components_match_defining_integral(fig11_poles):
     for n in ("B", "R", "AR"):
-        energy, weight = {
-            "B": (fig11_poles.e_bound + 0j, fig11_poles.w_bound),
-            "R": (fig11_poles.e_res, fig11_poles.w_res),
-            "AR": (fig11_poles.e_ares, fig11_poles.w_ares),
-        }[n]
+        energy, weight = fig11_poles[n].energy, fig11_poles[n].weight
         for t in (-10.0, -2.0, -0.5, 0.5, 2.0, 10.0):
             ref = friedrichs_component_quad(FIG11_PARAMS, energy, weight, t,
                                             TIGHT)
@@ -203,7 +221,7 @@ def test_component_rejects_t_zero(fig11_poles):
 
 def test_resonant_component_shape(fig11_poles):
     # negligible well before t = 0, dominant after (the Fig. 11 shape)
-    er = abs(fig11_poles.e_res)
+    er = abs(fig11_poles["R"].energy)
     early = abs(a_component(FIG11_PARAMS, "R", -3.0 / er, poles=fig11_poles))
     peak = max(abs(a_component(FIG11_PARAMS, "R", t, poles=fig11_poles))
                for t in np.linspace(0.3, 3.0, 12))
@@ -211,7 +229,7 @@ def test_resonant_component_shape(fig11_poles):
 
 
 def test_suppression_ratios(fig11_poles):
-    er = abs(fig11_poles.e_res)
+    er = abs(fig11_poles["R"].energy)
     t = 30.0 / er
     r_plus = (abs(a_component(FIG11_PARAMS, "R", t, poles=fig11_poles))
               / abs(a_component(FIG11_PARAMS, "AR", t, poles=fig11_poles))) ** 2
@@ -226,12 +244,12 @@ def test_decay_rate_matches_resonance_width(fig11_poles):
     logs = [np.log(abs(survival_total(FIG11_PARAMS, float(t),
                                       poles=fig11_poles)) ** 2) for t in ts]
     rate = -np.polyfit(ts, logs, 1)[0]
-    assert abs(rate - 2.0 * abs(fig11_poles.e_res.imag)) \
-        < 0.1 * 2.0 * abs(fig11_poles.e_res.imag)
+    assert abs(rate - 2.0 * abs(fig11_poles["R"].energy.imag)) \
+        < 0.1 * 2.0 * abs(fig11_poles["R"].energy.imag)
 
 
 def test_asymptotic_against_closed_form(fig11_poles):
-    er = abs(fig11_poles.e_res)
+    er = abs(fig11_poles["R"].energy)
     t = -40.0 / er
     exact = a_component(FIG11_PARAMS, "R", t, poles=fig11_poles)
     asym = a_component_asymptotic(FIG11_PARAMS, t, poles=fig11_poles)
@@ -239,7 +257,7 @@ def test_asymptotic_against_closed_form(fig11_poles):
 
 
 def test_asymptotic_power_law_scaling(fig11_poles):
-    er = abs(fig11_poles.e_res)
+    er = abs(fig11_poles["R"].energy)
     t = -80.0 / er
     ratio = (abs(a_component_asymptotic(FIG11_PARAMS, 2 * t, poles=fig11_poles))
              / abs(a_component_asymptotic(FIG11_PARAMS, t, poles=fig11_poles)))
@@ -247,7 +265,7 @@ def test_asymptotic_power_law_scaling(fig11_poles):
 
 
 def test_asymptotic_phase(fig11_poles):
-    er = abs(fig11_poles.e_res)
+    er = abs(fig11_poles["R"].energy)
     t = -60.0 / er
     exact = a_component(FIG11_PARAMS, "R", t, poles=fig11_poles)
     asym = a_component_asymptotic(FIG11_PARAMS, t, poles=fig11_poles)
@@ -255,7 +273,7 @@ def test_asymptotic_phase(fig11_poles):
 
 
 def test_negative_time_slope(fig11_poles):
-    er = abs(fig11_poles.e_res)
+    er = abs(fig11_poles["R"].energy)
     ts = -np.linspace(40.0, 160.0, 25) / er
     vals = [abs(a_component(FIG11_PARAMS, "R", float(t), poles=fig11_poles))
             for t in ts]

@@ -1,10 +1,13 @@
-"""The derived erfc square-root branches of the Friedrichs cut components.
+"""The derived erfc square-root branches of the Friedrichs cut components
+and the survival amplitude summed over the cubic's roots.
 
 Property-based checks over the parameter domain (including true bound
-states and resonances with Re E_R near 0) and over synthetic poles next to
-the arg sqrt(E) = +-pi/4 rays where the rule's ingredients change sign: the
-derived pair equals the pick of the quadrature search in ``_oracles``, and
-the closed form matches the defining integral.
+states, resonances with Re E_R near 0, narrow resonances and cubics with
+three real roots) and over synthetic poles next to the arg sqrt(E) = +-pi/4
+rays where the rule's ingredients change sign: the derived pair equals the
+pick of the quadrature search in ``_oracles``, the closed form matches the
+defining integral, and the pole sum matches a 40-digit evaluation and the
+cut quadrature.
 """
 
 import json
@@ -26,9 +29,11 @@ from resdyn.friedrichs import (
 )
 from resdyn.lattice import DEFAULT_TOLERANCES
 
-from _oracles import friedrichs_branch_search, friedrichs_component_quad
-
-LABELS = ("B", "R", "AR")
+from _oracles import (
+    friedrichs_branch_search,
+    friedrichs_component_quad,
+    friedrichs_total_mp,
+)
 
 
 def _poles_or_reject(params):
@@ -36,6 +41,12 @@ def _poles_or_reject(params):
         return friedrichs_poles(params)
     except ResdynError:
         assume(False)
+
+
+def _resonant_poles_or_reject(params):
+    poles = _poles_or_reject(params)
+    assume(poles.roots[1].label == "R")
+    return poles
 
 
 @st.composite
@@ -46,7 +57,8 @@ def _re_e_res_near_zero(draw):
     offset = draw(st.floats(-1e-6, 1e-6))
     try:
         omega1 = brentq(lambda w: friedrichs_poles(
-            FriedrichsParams(w, beta, g)).e_res.real, -1.5, 1.5, xtol=1e-14)
+            FriedrichsParams(w, beta, g))["R"].energy.real, -1.5, 1.5,
+            xtol=1e-14)
     except (ResdynError, ValueError):
         assume(False)
     return FriedrichsParams(omega1 + offset, beta, g)
@@ -69,8 +81,8 @@ def _scale(energy, params):
 @given(PARAMS)
 def test_derived_branches_equal_search_and_defining_integral(params):
     poles = _poles_or_reject(params)
-    for label in LABELS:
-        energy, weight = fm._pole_by_label(poles, label)
+    for pole in poles.roots:
+        label, energy, weight = pole.label, pole.energy, pole.weight
         for t_sign in (1, -1):
             sa, sb, mismatch = friedrichs_branch_search(
                 params, energy, weight, t_sign, DEFAULT_TOLERANCES)
@@ -107,8 +119,8 @@ def test_derived_branches_next_to_the_quarter_rays(r, upper, delta):
 
 @given(PARAMS, st.floats(0.05, 40.0))
 def test_anti_resonant_component_is_conjugate_mirror(params, tau):
-    poles = _poles_or_reject(params)
-    times = np.array([-tau, -0.3 * tau, 0.3 * tau, tau]) / abs(poles.e_res)
+    poles = _resonant_poles_or_reject(params)
+    times = np.array([-tau, -0.3 * tau, 0.3 * tau, tau]) / abs(poles["R"].energy)
     ar = a_component(params, "AR", times, poles=poles)
     r_mirror = np.conj(a_component(params, "R", -times, poles=poles))
     assert np.all(np.abs(ar - r_mirror) <= 1e-12 * np.maximum(1.0, np.abs(ar)))
@@ -116,8 +128,8 @@ def test_anti_resonant_component_is_conjugate_mirror(params, tau):
 
 @given(PARAMS)
 def test_asymptotic_form_follows_the_closed_form(params):
-    poles = _poles_or_reject(params)
-    t = -40.0 / abs(poles.e_res)
+    poles = _resonant_poles_or_reject(params)
+    t = -40.0 / abs(poles["R"].energy)
     exact = a_component(params, "R", t, poles=poles)
     asym = a_component_asymptotic(params, t, poles=poles)
     assert abs(asym - exact) < 0.1 * abs(exact)
@@ -145,6 +157,75 @@ def test_cut_is_continuous_at_zero_time(params):
     assert np.all(np.abs(values[1:] - values[0]) <= bound)
 
 
+# narrow resonances: Im E_R down to ~1e-8
+NARROW_PARAMS = st.builds(FriedrichsParams, omega1=st.floats(0.5, 3.0),
+                          beta=st.floats(0.05, 2.0), g=st.floats(1e-4, 0.02))
+# a deep level with weak coupling: the cubic has three real roots
+THREE_REAL_PARAMS = st.one_of(
+    st.builds(FriedrichsParams, omega1=st.floats(-0.55, -0.45),
+              beta=st.floats(0.04, 0.06), g=st.floats(0.045, 0.055)),
+    st.builds(FriedrichsParams, omega1=st.floats(-3.3, -2.7),
+              beta=st.floats(0.09, 0.11), g=st.floats(0.27, 0.33)),
+)
+ALL_PARAMS = st.one_of(PARAMS, NARROW_PARAMS, THREE_REAL_PARAMS)
+# mirrored, with t = 0; |E t| stays small enough that rounding E t costs
+# no more than ~1e-14
+MIRRORED_TIMES = np.array([-25.0, -7.3, -0.9, 0.0, 0.9, 7.3, 25.0])
+
+
+@given(THREE_REAL_PARAMS)
+def test_three_real_roots_are_one_bound_and_two_virtual_states(params):
+    poles = friedrichs_poles(params)
+    assert [pole.label for pole in poles.roots] == ["B", "V1", "V2"]
+    assert 0.0 < poles.bound_residue < 1.0
+    assert poles["V1"].energy.real < poles["V2"].energy.real < 0.0
+
+
+@given(ALL_PARAMS)
+def test_pole_sum_matches_40_digits(params):
+    # the 40-digit sum at t >= 0, mirrored by A(-t) = conj A(t)
+    poles = _poles_or_reject(params)
+    values = fm.survival_total(params, MIRRORED_TIMES, poles=poles)
+    half = friedrichs_total_mp(params, MIRRORED_TIMES[3:])
+    reference = np.concatenate((np.conj(half[:0:-1]), half))
+    assert np.max(np.abs(values - reference)) <= 1e-13
+    assert abs(values[3] - 1.0) <= 1e-13
+    assert np.all(np.abs(values[::-1] - np.conj(values)) <= 1e-13)
+
+
+@given(ALL_PARAMS)
+def test_pole_sum_is_finite_at_long_times(params):
+    poles = _poles_or_reject(params)
+    width = min(abs(pole.energy.imag) for pole in poles.roots) or 1.0
+    times = np.array([-1e6, -1e4 / width, 1e4 / width, 1e6])
+    values = fm.survival_total(params, times, poles=poles)
+    assert np.all(np.isfinite(values))
+    assert np.all(np.abs(values) <= 1.0 + 1e-12)
+
+
+@given(ALL_PARAMS)
+def test_pole_sum_is_continuous_at_zero_time(params):
+    # the bound of test_cut_is_continuous_at_zero_time, for the total
+    poles = _poles_or_reject(params)
+    values = fm.survival_total(params, SMALL_TIMES, poles=poles)
+    bound = (2.0 * max(abs(params.omega1), params.beta, 1.0)
+             * np.abs(SMALL_TIMES[1:]) + 10.0 * DEFAULT_TOLERANCES.abs_tol)
+    assert np.all(np.abs(values[1:] - values[0]) <= bound)
+
+
+@given(ALL_PARAMS)
+def test_pole_sum_matches_the_cut_quadrature(params):
+    poles = _poles_or_reject(params)
+    times = np.array([-7.3, 0.0, 0.9])
+    values = fm.survival_total(params, times, poles=poles)
+    reference = (poles.bound_residue
+                 * np.exp(-1j * poles["B"].energy.real * times)
+                 + fm.a_cut_direct(params, times, poles=poles))
+    tol = DEFAULT_TOLERANCES
+    assert np.all(np.abs(values - reference)
+                  <= 10.0 * (tol.abs_tol + tol.rel_tol * np.abs(values)))
+
+
 def test_module_keeps_no_mutable_state():
     mutable = [name for name, value in vars(fm).items()
                if not name.startswith("__")
@@ -152,11 +233,11 @@ def test_module_keeps_no_mutable_state():
     assert mutable == []
 
 
-FRIEDRICHS_COMPONENTS = """
+FRIEDRICHS_ORACLE = """
 [run]
 schema_version = 1
 model = friedrichs
-command = friedrichs
+command = oracle-check
 
 [params]
 omega1 = 1.0
@@ -167,9 +248,6 @@ g = 0.1
 t_min = -6.05
 t_max = 5.95
 n_points = 13
-
-[survival]
-components = true
 
 [tolerances]
 abs_tol = {abs_tol}
@@ -183,20 +261,25 @@ def test_flipped_branch_exits_3(tmp_path, capsys, monkeypatch):
                         lambda energy, t_sign: (derived(energy, t_sign)[0],
                                                 -derived(energy, t_sign)[1]))
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(FRIEDRICHS_COMPONENTS.format(abs_tol=1e-10, rel_tol=1e-8))
-    rc = main(["friedrichs", "--config", str(cfg),
-               "--out", str(tmp_path / "o.csv")])
+    cfg.write_text(FRIEDRICHS_ORACLE.format(abs_tol=1e-10, rel_tol=1e-8))
+    out = tmp_path / "oracle.json"
+    rc = main(["oracle-check", "--config", str(cfg), "--out", str(out)])
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "BranchCheckFailed"
-    assert "a_B + a_R + a_AR" in err["message"]
+    assert "oracle deviation" in err["message"]
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert report["max_deviation"] > 0.01
 
 
 @pytest.mark.parametrize("abs_tol, rel_tol", [(1e-3, 1e-3), (1e-13, 1e-12)])
 def test_branch_check_passes_at_loose_and_tight_tolerances(tmp_path, abs_tol,
                                                            rel_tol):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(FRIEDRICHS_COMPONENTS.format(abs_tol=abs_tol,
-                                                rel_tol=rel_tol))
-    assert main(["friedrichs", "--config", str(cfg),
-                 "--out", str(tmp_path / "o.csv")]) == 0
+    cfg.write_text(FRIEDRICHS_ORACLE.format(abs_tol=abs_tol, rel_tol=rel_tol))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["pass"] is True
+    assert set(report["deviations"]) == {"total"}

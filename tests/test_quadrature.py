@@ -85,7 +85,7 @@ def test_open_interval_endpoint_singularity():
     # integrable 1/sqrt singularity at the left endpoint
     res = adaptive_quad(lambda x: (1.0 / np.sqrt(x)).astype(complex),
                         0.0, 1.0, abs_tol=1e-7, rel_tol=1e-7,
-                        max_subdivisions=10000, open_interval=True)
+                        max_subdivisions=10000)
     assert abs(res.value - 2.0) < 1e-6
 
 

@@ -8,7 +8,6 @@ from resdyn.kernel import (
     bessel_j1,
     erfc_complex,
     piecewise_quad,
-    sqrt_poscut,
     upper_gamma_mhalf,
 )
 
@@ -74,31 +73,6 @@ def test_j1_vectorized_matches_scalar():
 def test_j1_rejects_nonfinite():
     with pytest.raises(DomainError):
         bessel_j1(np.inf)
-
-
-# ---------------------------------------------------------------------------
-# sqrt_poscut
-
-
-def test_sqrt_poscut_forced_values():
-    assert abs(sqrt_poscut(-4.0) - 2j) < 1e-15
-    assert abs(sqrt_poscut(4.0) - 2.0) < 1e-15
-    assert abs(sqrt_poscut(4.0 + 1e-14j) - 2.0) < 1e-7
-    assert abs(sqrt_poscut(complex(4.0, -0.0)) + 2.0) < 1e-15
-    assert abs(sqrt_poscut(4.0 - 1e-14j) + 2.0) < 1e-7
-
-
-def test_sqrt_poscut_squares_back():
-    rng = np.random.default_rng(5)
-    z = rng.uniform(-10, 10, 1000) + 1j * rng.uniform(-10, 10, 1000)
-    w = sqrt_poscut(z)
-    assert np.max(np.abs(w * w - z)) < 1e-14 * np.max(np.abs(z))
-
-
-def test_sqrt_poscut_upper_half_plane_image():
-    rng = np.random.default_rng(6)
-    z = rng.uniform(-5, 5, 200) + 1j * rng.uniform(-5, 5, 200)
-    assert np.all(sqrt_poscut(z).imag >= -1e-15)
 
 
 # ---------------------------------------------------------------------------
