@@ -357,36 +357,6 @@ def _bessel_tail_analytic(b, energy, t_from):
     return (sin_part + cos_part) / np.sqrt(np.pi * b)
 
 
-def _bessel_tail(b, energy, t0, tol):
-    """integral_{t0}^inf e^{-i E t'} J1(2 b t')/t' dt' for Im E < 0.
-
-    Quadrature runs to whichever comes first: the point where the e^{Im E t'}
-    envelope makes the remainder negligible, or a fixed horizon past which
-    the analytic incomplete-gamma tail takes over (essential near the EP,
-    where Im E is tiny and the envelope alone would force a huge range).
-    """
-    gamma = -energy.imag
-    if gamma <= 0:
-        raise DomainError("tail integral needs Im E < 0")
-    t_exp = (np.log(1.0 / tol.abs_tol) + np.log1p(1.0 / gamma) + 8.0) / gamma
-    horizon = max(400.0 / b, t0 * 0.2)
-    t_cut = t0 + min(t_exp, horizon)
-    use_analytic_tail = t_exp > horizon
-    if use_analytic_tail:
-        t_cut = max(t_cut, 150.0 / b)  # Hankel validity for the closed tail
-    period = np.pi / (2.0 * b + abs(energy.real) + gamma)
-
-    def integrand(tp):
-        return np.exp(-1j * energy * tp) * _j1_over_t(b, tp)
-
-    pts = _period_breakpoints(t0, t_cut, period)
-    res = piecewise_quad(integrand, pts, abs_tol=tol.abs_tol, rel_tol=tol.rel_tol)
-    value = res.value
-    if use_analytic_tail:
-        value += _bessel_tail_analytic(b, energy, t_cut)
-    return value
-
-
 def _period_breakpoints(lo, hi, period, extra=()):
     n = int(np.ceil((hi - lo) / period))
     pts = list(np.linspace(lo, hi, max(n, 1) + 1))
@@ -411,7 +381,8 @@ def _segment_integrals(b, energy, edges, anchor_right, tol):
          for lo, hi in zip(edges[:-1], edges[1:])] + [edges[-1:]])
 
     def integrand(tp):
-        k = np.searchsorted(edges, tp) - 1
+        # a node of a machine-width segment can round onto edges[0]
+        k = np.clip(np.searchsorted(edges, tp) - 1, 0, len(edges) - 2)
         u = edges[k + 1] - tp if anchor_right else tp - edges[k]
         return np.exp(-1j * energy * u) * _j1_over_t(b, tp)
 
@@ -436,20 +407,37 @@ def _forward_grid(b, energy, s, tol):
 
 def _tail_grid(b, energy, s, tol):
     """U(s) = integral_s^inf e^{-iE(t' - s)} J1(2bt')/t' dt' on an ascending
-    grid s > 0 (Im E < 0): seeded once with e^{iES} T(S) at the largest s = S,
-    then U(s_k) = segment k + e^{-iE(s_{k+1} - s_k)} U(s_{k+1}) inward.
+    grid s > 0 (Im E < 0).
+
+    One segment pass runs over the grid and on past S = s[-1] to a cutoff:
+    the point where the e^{Im E t'} envelope makes the remainder negligible,
+    or a fixed horizon past which the analytic incomplete-gamma tail takes
+    over (essential near the EP, where Im E is tiny and the envelope alone
+    would force a huge range).  U(s_k) = segment k + e^{-iE(s_{k+1} - s_k)}
+    U(s_{k+1}) then runs inward from U(t_cut), which is 0 or, with the
+    analytic tail, e^{iE t_cut} T(t_cut).  Every step factor and anchored
+    phase has modulus at most 1, so U stays finite at any |t|; the one
+    growing exponential, e^{iE t_cut}, meets only the analytic tail, where
+    t_cut < 6 t_exp keeps -Im E t_cut below about 200-350 at the default
+    abs_tol, far from overflow.
     """
-    out = np.empty(len(s), dtype=complex)
-    out[-1] = np.exp(1j * energy * s[-1]) * _bessel_tail(b, energy, s[-1], tol)
-    if not np.isfinite(out[-1]) or out[-1] == 0:
-        raise Underflow("resonant/anti-resonant amplitudes exceed the "
-                        f"representable dynamic range at |t| = {s[-1]:g}")
-    if len(s) > 1:
-        seg = _segment_integrals(b, energy, s, False, tol)
-        step = np.exp(-1j * energy * np.diff(s))
-        for k in range(len(s) - 2, -1, -1):
-            out[k] = seg[k] + step[k] * out[k + 1]
-    return out
+    gamma = -energy.imag
+    t_exp = (np.log(1.0 / tol.abs_tol) + np.log1p(1.0 / gamma) + 8.0) / gamma
+    horizon = max(400.0 / b, s[-1] * 0.2)
+    t_cut = s[-1] + min(t_exp, horizon)
+    use_analytic_tail = t_exp > horizon
+    if use_analytic_tail:
+        t_cut = max(t_cut, 150.0 / b)  # Hankel validity for the closed tail
+    edges = np.append(s, t_cut)
+    seg = _segment_integrals(b, energy, edges, False, tol)
+    step = np.exp(-1j * energy * np.diff(edges))
+    out = np.zeros(len(edges), dtype=complex)
+    if use_analytic_tail:
+        out[-1] = (np.exp(1j * energy * t_cut)
+                   * _bessel_tail_analytic(b, energy, t_cut))
+    for k in range(len(s) - 1, -1, -1):
+        out[k] = seg[k] + step[k] * out[k + 1]
+    return out[:-1]
 
 
 def amplitude_grid(spectrum, times, weights=None, tol=DEFAULT_TOLERANCES):
@@ -495,38 +483,35 @@ def amplitude_grid(spectrum, times, weights=None, tol=DEFAULT_TOLERANCES):
         plans.append((mirror, lam, energy, t, pos, neg_key))
 
     grids = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        # tails first: an out-of-range seed fails before any long forward pass
-        for key in sorted(needs, key=lambda k: k[0] != "tail"):
-            chunks, st, sign = needs[key]
-            kind, energy = key
-            s = np.unique(np.abs(np.concatenate(chunks)))
-            engine = _tail_grid if kind == "tail" else _forward_grid
-            lo, hi = sorted((sign * (s[0] if kind == "tail" else 0.0),
-                             sign * s[-1]))
-            with _quadrature_context(
-                    f"{kind} integral of the {st.state_class.value} state "
-                    f"(E = {st.energy:.9g})", lo, hi, tol):
-                grids[key] = (s, engine(spectrum.params.b, energy, s, tol))
+    for key, (chunks, st, sign) in needs.items():
+        kind, energy = key
+        s = np.unique(np.abs(np.concatenate(chunks)))
+        engine = _tail_grid if kind == "tail" else _forward_grid
+        lo, hi = sorted((sign * (s[0] if kind == "tail" else 0.0),
+                         sign * s[-1]))
+        with _quadrature_context(
+                f"{kind} integral of the {st.state_class.value} state "
+                f"(E = {st.energy:.9g})", lo, hi, tol):
+            grids[key] = (s, engine(spectrum.params.b, energy, s, tol))
 
-        def lookup(key, t):
-            s, values = grids[key]
-            return values[np.searchsorted(s, np.abs(t))]
+    def lookup(key, t):
+        s, values = grids[key]
+        return values[np.searchsorted(s, np.abs(t))]
 
-        out = np.empty((len(states), len(times)), dtype=complex)
-        for n, (mirror, lam, energy, t, pos, neg_key) in enumerate(plans):
-            unit = np.empty(len(times), dtype=complex)
-            tp, tn = t[pos], t[~pos]
-            if len(tp):
-                unit[pos] = (np.exp(-1j * energy * tp) / lam
-                             - 1j * lookup(("forward", energy), tp))
-            if len(tn):
-                if neg_key[0] == "tail":
-                    unit[~pos] = -1j * lookup(neg_key, tn)
-                else:
-                    unit[~pos] = (np.exp(-1j * energy * tn) / lam
-                                  + 1j * lookup(neg_key, tn))
-            out[n] = weights[n] * (np.conj(unit) if mirror else unit)
+    out = np.empty((len(states), len(times)), dtype=complex)
+    for n, (mirror, lam, energy, t, pos, neg_key) in enumerate(plans):
+        unit = np.empty(len(times), dtype=complex)
+        tp, tn = t[pos], t[~pos]
+        if len(tp):
+            unit[pos] = (np.exp(-1j * energy * tp) / lam
+                         - 1j * lookup(("forward", energy), tp))
+        if len(tn):
+            if neg_key[0] == "tail":
+                unit[~pos] = -1j * lookup(neg_key, tn)
+            else:
+                unit[~pos] = (np.exp(-1j * energy * tn) / lam
+                              + 1j * lookup(neg_key, tn))
+        out[n] = weights[n] * (np.conj(unit) if mirror else unit)
     if not np.all(np.isfinite(out)):
         raise Underflow("amplitudes exceed the representable dynamic range")
     return out
@@ -619,12 +604,9 @@ def ratio_r(spectrum, t, tol=DEFAULT_TOLERANCES):
     ``t`` is a time or a 1-d grid; a grid is evaluated in one engine call.
     """
     grid, scalar = _time_grid(t)
-    idx = spectrum.states.index(spectrum.resonant())
-    row = amplitude_grid(spectrum, np.concatenate((grid, -grid)), tol=tol)[idx]
+    resonant = Spectrum((spectrum.resonant(),), spectrum.params, spectrum.flags)
+    row = amplitude_grid(resonant, np.concatenate((grid, -grid)), tol=tol)[0]
     num, den = row[:len(grid)], row[len(grid):]
-    if np.any(np.abs(den) < 1e-300):
-        raise Underflow("resonant/anti-resonant amplitudes exceed the "
-                        "representable dynamic range at this time")
     r = np.abs(num) ** 2 / np.abs(den) ** 2
     return float(r[0]) if scalar else r
 

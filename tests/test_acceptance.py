@@ -56,20 +56,17 @@ def test_c03_completeness_sum_rules(fig11_poles):
 
 
 def test_c04_representation_cross_agreement(fig9_spectrum, fig11_poles):
-    worst = 0.0
-    for t in np.linspace(-20.0, 20.0, 200):
-        direct = lat.survival_direct(FIG9_PARAMS, float(t), spectrum=fig9_spectrum)
-        total = sum(lat.component_chi(fig9_spectrum, n, float(t))
-                    for n in range(len(fig9_spectrum.states)))
-        worst = max(worst, abs(direct - total))
+    ts = np.linspace(-20.0, 20.0, 200)
+    direct = lat.survival_direct(FIG9_PARAMS, ts, spectrum=fig9_spectrum)
+    total = lat.amplitude_grid(fig9_spectrum, ts).sum(axis=0)
+    worst = np.max(np.abs(direct - total))
     assert worst <= 1e-6
-    worst_fm = 0.0
-    for t in np.concatenate([np.linspace(-50, -2, 9), (-0.5, 0.5),
-                             np.linspace(2, 50, 9)]):
-        total = sum(fm.a_component(FIG11_PARAMS, n, float(t), poles=fig11_poles)
-                    for n in ("B", "R", "AR"))
-        direct = fm.a_cut_direct(FIG11_PARAMS, float(t), poles=fig11_poles)
-        worst_fm = max(worst_fm, abs(total - direct))
+    ts = np.concatenate([np.linspace(-50, -2, 9), (-0.5, 0.5),
+                         np.linspace(2, 50, 9)])
+    total = sum(fm.a_component(FIG11_PARAMS, n, ts, poles=fig11_poles)
+                for n in ("B", "R", "AR"))
+    direct = fm.a_cut_direct(FIG11_PARAMS, ts, poles=fig11_poles)
+    worst_fm = np.max(np.abs(total - direct))
     assert worst_fm <= 1e-6
     _report(4, f"contour vs component sums: lattice {worst:.1e}, "
                f"Friedrichs {worst_fm:.1e} (tolerance 1e-6)")
@@ -79,17 +76,18 @@ def test_c05_oracle_equivalence(fig9_spectrum):
     lattice = orc.build_hamiltonian(FIG9_PARAMS, 800)
     times = np.linspace(0.0, 50.0, 26)
     prop = orc.propagate(lattice, times)
-    dev_d1 = max(abs(lat.survival_direct(FIG9_PARAMS, t, spectrum=fig9_spectrum) - a)
-                 for t, a in zip(prop.times, prop.amplitudes["d1"]))
+    dev_d1 = np.max(np.abs(
+        lat.survival_direct(FIG9_PARAMS, prop.times, spectrum=fig9_spectrum)
+        - prop.amplitudes["d1"]))
     assert dev_d1 <= 1e-4
     devs = {"d1": dev_d1}
     for theta in (0.0, np.pi / 2):
         # H is real symmetric: <d1|e^{-iHt}|d2> = <d2|e^{-iHt}|d1>
         exact = (prop.amplitudes["d1"]
                  + np.exp(1j * theta) * prop.amplitudes["d2"]) / np.sqrt(2.0)
-        dev = max(abs(lat.theta_amplitude(fig9_spectrum, lat.ThetaState(theta),
-                                          "total", t) - a)
-                  for t, a in zip(prop.times, exact))
+        weights = lat.theta_weights(fig9_spectrum, lat.ThetaState(theta))
+        total = lat.amplitude_grid(fig9_spectrum, prop.times, weights).sum(axis=0)
+        dev = np.max(np.abs(total - exact))
         assert dev <= 1e-4
         devs[f"theta={theta:.3f}"] = dev
     _report(5, "contour amplitudes match N=800 Chebyshev propagation to 1e-4 "

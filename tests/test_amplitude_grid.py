@@ -26,6 +26,7 @@ from resdyn.lattice import (
     ThetaState,
     amplitude_grid,
     discrete_spectrum,
+    survival_direct,
     theta_amplitude,
     theta_weights,
 )
@@ -174,3 +175,15 @@ rel_tol = 1e-300
 def test_grid_validation(fig9_spectrum, bad):
     with pytest.raises(DomainError):
         amplitude_grid(fig9_spectrum, bad)
+
+
+def test_mirrored_inexact_grid():
+    # |t| values of this grid pair up 4.4e-16 apart, and anti-resonant times
+    # reuse the resonant integrals at -t, so the segment pass meets
+    # machine-width segments whose nodes can round onto the first edge
+    params = TDotParams(1.0, 0.362099, 0.034065, 0.394262, 1.031983, 0.809104)
+    spectrum = discrete_spectrum(params)
+    times = np.linspace(-4.121, 4.121, 21)
+    chi = amplitude_grid(spectrum, times)
+    direct = survival_direct(params, times, spectrum=spectrum)
+    assert np.max(np.abs(chi.sum(axis=0) - direct)) <= 1e-9

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from resdyn.errors import AssumptionViolated, DomainError, Underflow, ValidityWarning
+from resdyn.errors import AssumptionViolated, DomainError, ValidityWarning
 from resdyn.lattice import (
+    DEFAULT_TOLERANCES,
     DiscreteState,
     Spectrum,
     StateClass,
     TDotParams,
+    amplitude_grid,
     component_chi,
     discrete_spectrum,
     longtime_asymptotic,
     longtime_ratio,
     ratio_r,
     short_time_resonant_prob,
+    survival_direct,
     zeno_time,
 )
 
@@ -92,12 +95,6 @@ def test_short_time_minimum_sits_near_minus_t0(fig9_spectrum):
     assert abs(t_min + t0) < 0.05
     assert (short_time_resonant_prob(fig9_spectrum, -t0)
             < 0.01 * short_time_resonant_prob(fig9_spectrum, t0))
-
-
-def test_underflow_guard(fig9_spectrum):
-    with pytest.raises((Underflow, OverflowError)):
-        # far beyond any representable anti-resonant amplitude
-        ratio_r(fig9_spectrum, 25000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +180,44 @@ def test_ratio_near_ep_is_much_flatter(fig9_spectrum):
     max_far = max(abs(np.log10(ratio_r(fig9_spectrum, float(t)))) for t in ts)
     max_near = max(abs(np.log10(ratio_r(near_ep, float(t)))) for t in ts)
     assert max_far >= 5.0 * max_near
+
+
+# ---------------------------------------------------------------------------
+# the engine past |t Im E_R| ~ 709, where e^{-iE_R t} alone overflows
+
+
+def test_component_sum_is_the_survival_amplitude_at_long_times(fig9_spectrum):
+    times = np.array([-1e4, -9000.0, 9000.0, 1e4])
+    chi = amplitude_grid(fig9_spectrum, times)
+    direct = survival_direct(FIG9_PARAMS, times, spectrum=fig9_spectrum)
+    assert np.all(np.isfinite(chi))
+    assert np.max(np.abs(chi.sum(axis=0) - direct)) <= 1e-12
+
+
+def test_component_sum_near_the_ep_at_long_times():
+    near_ep = TDotParams(1.0, -2.347528, 0.0, 0.4, 1.0, 1.0)
+    spectrum = discrete_spectrum(near_ep)
+    times = np.array([-1e4, 1e4])
+    chi = amplitude_grid(spectrum, times)
+    direct = survival_direct(near_ep, times, spectrum=spectrum)
+    # |chi_R| ~ 0.9 cancels to |A| ~ 1e-8, so the relative tolerance applies
+    # to the components, not to their sum
+    tol = DEFAULT_TOLERANCES
+    allowed = tol.abs_tol + tol.rel_tol * np.abs(chi).sum(axis=0)
+    assert np.all(np.abs(chi.sum(axis=0) - direct) <= allowed)
+
+
+def test_resonant_component_matches_the_power_law_at_3e4(fig9_spectrum):
+    r_idx = fig9_spectrum.states.index(fig9_spectrum.resonant())
+    t = 3e4
+    chi = amplitude_grid(fig9_spectrum, [t, -t])[r_idx]
+    for value, sign in zip(chi, (+1, -1)):
+        asym = longtime_asymptotic(fig9_spectrum, t, sign)
+        assert abs(value - asym) / abs(value) < 1e-3
+
+
+def test_ratio_matches_the_closed_form_past_the_overflow_time(fig9_spectrum):
+    ts = np.array([1e4, 2.5e4])
+    r = ratio_r(fig9_spectrum, ts)
+    closed = np.array([longtime_ratio(fig9_spectrum, t) for t in ts])
+    assert np.all(np.abs(r - closed) / closed < 1e-3)
