@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -41,45 +40,16 @@ _EXIT_NUMERIC = 3
 _EXIT_REGIME = 4
 
 
-def fmt(x):
-    """Fixed 12-significant-digit decimal rendering used in all CSV cells."""
-    return f"{float(x) + 0.0:.12g}"  # + 0.0 normalizes negative zero
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    t_min: float
-    t_max: float
-    n_points: int
-
-    def values(self):
-        if self.n_points == 1:
-            return np.array([self.t_min])
-        return np.linspace(self.t_min, self.t_max, self.n_points)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    parameter: str
-    lo: float
-    hi: float
-    n: int
-
-    def values(self):
-        if self.n == 1:
-            return np.array([self.lo])
-        return np.linspace(self.lo, self.hi, self.n)
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     model: str
     command: str
     params: object
-    time_grid: TimeGrid
+    times: np.ndarray
     tolerances: lat.Tolerances
     out_format: str
-    sweep: SweepSpec | None
+    sweep_parameter: str | None
+    sweep_values: np.ndarray | None
     options: dict
 
 
@@ -121,6 +91,8 @@ def load_config(text):
     command = _get(cp, "run", "command", str, required=True).strip()
     if model not in ("tdot", "friedrichs"):
         raise ConfigError(f"unknown model {model!r}")
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
 
     try:
         if model == "tdot":
@@ -151,33 +123,28 @@ def load_config(text):
             raise ConfigError("single-point grid needs t_min == t_max")
     elif not t_min < t_max:
         raise ConfigError("need t_min < t_max")
-    grid = TimeGrid(t_min, t_max, n_points)
 
     tol = lat.Tolerances(
         abs_tol=_get(cp, "tolerances", "abs_tol", float, default=1e-10),
         rel_tol=_get(cp, "tolerances", "rel_tol", float, default=1e-8),
     )
 
-    default_fmt = "json" if command in ("zeno", "ep-locate", "oracle-check") \
-        else "csv"
-    out_format = _get(cp, "output", "format", str, default=default_fmt).strip()
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {out_format!r}")
+    default_format = _COMMANDS[command][1][0]
+    out_format = _get(cp, "output", "format", str, default=default_format).strip()
 
-    sweep = None
+    sweep_parameter = sweep_values = None
     if cp.has_section("sweep"):
-        sweep = SweepSpec(
-            parameter=_get(cp, "sweep", "parameter", str, required=True).strip(),
-            lo=_get(cp, "sweep", "lo", float, required=True),
-            hi=_get(cp, "sweep", "hi", float, required=True),
-            n=_get(cp, "sweep", "n", int, required=True),
-        )
-        if sweep.n < 1 or (sweep.n > 1 and not sweep.lo < sweep.hi):
+        sweep_parameter = _get(cp, "sweep", "parameter", str, required=True).strip()
+        lo = _get(cp, "sweep", "lo", float, required=True)
+        hi = _get(cp, "sweep", "hi", float, required=True)
+        n = _get(cp, "sweep", "n", int, required=True)
+        if n < 1 or (n > 1 and not lo < hi):
             raise ConfigError("sweep bounds must be ordered with n >= 1")
         valid = ("b", "eps1", "eps2", "g", "t2l", "t2r") if model == "tdot" \
             else ("omega1", "beta", "g")
-        if sweep.parameter not in valid:
-            raise ConfigError(f"cannot sweep {sweep.parameter!r} for {model}")
+        if sweep_parameter not in valid:
+            raise ConfigError(f"cannot sweep {sweep_parameter!r} for {model}")
+        sweep_values = np.linspace(lo, hi, n)
 
     options = {
         "components": _get(cp, "survival", "components", _parse_bool, default=False),
@@ -191,25 +158,13 @@ def load_config(text):
         "ep_lo": _get(cp, "ep", "eps1_lo", float, default=None),
         "ep_hi": _get(cp, "ep", "eps1_hi", float, default=None),
     }
-    return RunConfig(model, command, params, grid, tol, out_format, sweep, options)
+    return RunConfig(model, command, params, np.linspace(t_min, t_max, n_points),
+                     tol, out_format, sweep_parameter, sweep_values, options)
 
 
-def _replace_param(params, name, value):
-    fields = {k: getattr(params, k) for k in params.__dataclass_fields__}
-    fields[name] = value
-    return type(params)(**fields)
-
-
-def _thread_count(args):
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("RESDYN_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"bad RESDYN_THREADS value {env!r}") from exc
-    return 1
+def _swept_params(config, value):
+    return dataclasses.replace(config.params,
+                               **{config.sweep_parameter: float(value)})
 
 
 def _sweep_map(func, values, n_threads):
@@ -227,9 +182,24 @@ def _write_text(out_path, text):
             fh.write(text)
 
 
-def _csv_document(header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _csv_document(columns, keys):
+    """CSV text of named columns, in order: numeric arrays, or lists of
+    strings for labels.
+
+    Every numeric cell must be finite, else DomainError names the column and
+    the first such row by its ``keys`` columns.  Numbers are rendered with
+    12 significant digits, negative zero as 0.
+    """
+    for name, col in columns.items():
+        if isinstance(col, np.ndarray) and not np.all(np.isfinite(col)):
+            i = int(np.argmin(np.isfinite(col)))
+            where = ", ".join(f"{k} = {columns[k][i]:.12g}" for k in keys)
+            raise DomainError(f"column {name} is not finite at "
+                              + (where or f"row {i + 1}"))
+    cells = [col if isinstance(col, list)
+             else [f"{v:.12g}" for v in (col + 0.0).tolist()]
+             for col in columns.values()]
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -238,7 +208,7 @@ def _json_document(obj):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands
 
 
 def _state_record(state):
@@ -253,41 +223,36 @@ def _state_record(state):
     }
 
 
-_SPECTRUM_COLUMNS = ("class", "re_lambda", "im_lambda", "re_e", "im_e",
-                     "re_w", "im_w")
-
-
 def cmd_spectrum(config, args):
-    if config.model != "tdot":
-        raise ConfigError("spectrum requires model = tdot")
-    sweep_values = config.sweep.values() if config.sweep else [None]
+    values = [None] if config.sweep_parameter is None else config.sweep_values
 
     def one(value):
-        params = config.params if value is None else \
-            _replace_param(config.params, config.sweep.parameter, float(value))
-        spectrum = lat.discrete_spectrum(params)
-        recs = [_state_record(s) for s in spectrum.states]
-        return value, recs, spectrum.flags
+        spectrum = lat.discrete_spectrum(
+            config.params if value is None else _swept_params(config, value))
+        return [_state_record(s) for s in spectrum.states], spectrum.flags
 
-    results = _sweep_map(one, sweep_values, _thread_count(args))
+    results = _sweep_map(one, values, args.threads)
     if config.out_format == "json":
         payload = []
-        for value, recs, flags in results:
+        for value, (recs, flags) in zip(values, results):
             entry = {"states": recs, "flags": list(flags)}
             if value is not None:
-                entry[config.sweep.parameter] = float(value)
+                entry[config.sweep_parameter] = float(value)
             payload.append(entry)
         _write_text(args.out, _json_document(
             {"model": "tdot", "records": payload}))
         return _EXIT_OK
-    header = ((config.sweep.parameter,) if config.sweep else ()) + _SPECTRUM_COLUMNS
-    rows = []
-    for value, recs, _flags in results:
-        for rec in recs:
-            prefix = (fmt(value),) if value is not None else ()
-            rows.append(prefix + (rec["class"],)
-                        + tuple(fmt(rec[c]) for c in _SPECTRUM_COLUMNS[1:]))
-    _write_text(args.out, _csv_document(header, rows))
+    recs = [rec for rec_list, _flags in results for rec in rec_list]
+    columns = {}
+    keys = ()
+    if config.sweep_parameter is not None:
+        columns[config.sweep_parameter] = np.repeat(
+            values, [len(rec_list) for rec_list, _flags in results])
+        keys = (config.sweep_parameter,)
+    columns["class"] = [rec["class"] for rec in recs]
+    for name in ("re_lambda", "im_lambda", "re_e", "im_e", "re_w", "im_w"):
+        columns[name] = np.array([rec[name] for rec in recs], dtype=float)
+    _write_text(args.out, _csv_document(columns, keys))
     return _EXIT_OK
 
 
@@ -304,11 +269,11 @@ def _component_labels(spectrum):
     return labels
 
 
-def _tdot_series(config, times):
+def _tdot_series(config):
     """The T-dot total amplitude and the (label, values) series its options
     ask for."""
     spectrum = lat.discrete_spectrum(config.params)
-    tol = config.tolerances
+    times, tol = config.times, config.tolerances
     theta_raw = config.options["theta"]
     theta = None if theta_raw == "none" else lat.ThetaState(float(theta_raw))
     weights = None if theta is None else lat.theta_weights(spectrum, theta)
@@ -333,8 +298,9 @@ def _tdot_series(config, times):
     return total, series, real
 
 
-def _friedrichs_series(config, times):
+def _friedrichs_series(config):
     """The Friedrichs total amplitude and, on request, its cut components."""
+    times = config.times
     poles = fm.friedrichs_poles(config.params)
     total = fm.survival_total(config.params, times, poles=poles)
     series = []
@@ -345,57 +311,43 @@ def _friedrichs_series(config, times):
     return total, series, {}
 
 
-def _survival_rows(config, times):
-    """Header and rows of a survival table: t, the total amplitude and
-    |A|^2, a re/im column pair per named series, then the real columns."""
+def _survival_columns(config):
+    """Columns of a survival table: t, the total amplitude and |A|^2, a
+    re/im column pair per named series, then the real columns."""
     model_series = (_friedrichs_series if config.model == "friedrichs"
                     else _tdot_series)
-    total, series, real = model_series(config, times)
-    for label, values in [("a", total)] + series:
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise DomainError(f"series {label} is not finite at "
-                              f"t = {times[np.argmax(bad)]:.12g}")
-    header = ["t", "re_a", "im_a", "abs2_a"]
-    for label, _values in series:
-        header += [f"re_{label}", f"im_{label}"]
-    header += list(real)
-    rows = []
-    for i, t in enumerate(times):
-        a = total[i]
-        row = [fmt(t), fmt(a.real), fmt(a.imag), fmt(abs(a) ** 2)]
-        for _label, values in series:
-            row += [fmt(values[i].real), fmt(values[i].imag)]
-        row += [fmt(col[i]) for col in real.values()]
-        rows.append(tuple(row))
-    return header, rows
+    total, series, real = model_series(config)
+    # Python's abs per value: numpy's vectorised complex abs can differ from
+    # it in the last bit, which can move the 12th printed digit
+    columns = {"t": config.times, "re_a": total.real, "im_a": total.imag,
+               "abs2_a": np.array([abs(a) ** 2 for a in total.tolist()])}
+    for label, values in series:
+        columns[f"re_{label}"] = values.real
+        columns[f"im_{label}"] = values.imag
+    columns.update(real)
+    return columns
 
 
 def cmd_survival(config, args):
-    times = config.time_grid.values()
-    if config.sweep is None:
-        header, rows = _survival_rows(config, times)
-        _write_text(args.out, _csv_document(header, rows))
+    if config.sweep_parameter is None:
+        _write_text(args.out, _csv_document(_survival_columns(config), ("t",)))
         return _EXIT_OK
-
-    def one(value):
-        params = _replace_param(config.params, config.sweep.parameter, float(value))
-        sub = RunConfig(config.model, config.command, params, config.time_grid,
-                        config.tolerances, config.out_format, None, config.options)
-        return _survival_rows(sub, times)
-
-    results = _sweep_map(one, config.sweep.values(), _thread_count(args))
-    header = (config.sweep.parameter,) + tuple(results[0][0])
-    rows = []
-    for value, (_h, sub_rows) in zip(config.sweep.values(), results):
-        rows.extend((fmt(value),) + r for r in sub_rows)
-    _write_text(args.out, _csv_document(header, rows))
+    tables = _sweep_map(
+        lambda value: _survival_columns(
+            dataclasses.replace(config, params=_swept_params(config, value))),
+        config.sweep_values, args.threads)
+    columns = {config.sweep_parameter: np.repeat(config.sweep_values,
+                                                 len(config.times))}
+    # columns match by position; the header takes the first value's labels
+    for name, *parts in zip(tables[0], *(table.values() for table in tables)):
+        columns[name] = np.concatenate(parts)
+    _write_text(args.out, _csv_document(columns, (config.sweep_parameter, "t")))
     return _EXIT_OK
 
 
 def _ep_hint(params):
     grid = params.eps1 + np.arange(-6.0, 6.5, 0.5)
-    discs = [lat.ep_discriminant(_replace_param(params, "eps1", float(e)))
+    discs = [lat.ep_discriminant(dataclasses.replace(params, eps1=float(e)))
              for e in grid]
     for lo, hi, d_lo, d_hi in zip(grid[:-1], grid[1:], discs[:-1], discs[1:]):
         if np.sign(d_lo) != np.sign(d_hi):
@@ -406,9 +358,13 @@ def _ep_hint(params):
     return None
 
 
+def _zeno_document(spectrum):
+    report = lat.zeno_time(spectrum)
+    return _json_document({"t0": report.t0, "tz": report.tz,
+                           "imag_fraction": report.imag_fraction})
+
+
 def cmd_ratio(config, args):
-    if config.model != "tdot":
-        raise ConfigError("ratio requires model = tdot")
     spectrum = lat.discrete_spectrum(config.params)
     try:
         spectrum.resonant()
@@ -418,14 +374,10 @@ def cmd_ratio(config, args):
                 if ep is not None else "")
         raise NoResonance(
             f"no resonant pair at eps1 = {config.params.eps1:g}{hint}")
-    header = ["t", "r", "log10_r"]
-    times = config.time_grid.values()
-    ratios = lat.ratio_r(spectrum, times, tol=config.tolerances)
-    rows = [(fmt(t), fmt(r), fmt(np.log10(r))) for t, r in zip(times, ratios)]
-    _write_text(args.out, _csv_document(header, rows))
-    report = lat.zeno_time(spectrum)
-    sidecar = _json_document({"t0": report.t0, "tz": report.tz,
-                              "imag_fraction": report.imag_fraction})
+    ratios = lat.ratio_r(spectrum, config.times, tol=config.tolerances)
+    columns = {"t": config.times, "r": ratios, "log10_r": np.log10(ratios)}
+    _write_text(args.out, _csv_document(columns, ("t",)))
+    sidecar = _zeno_document(spectrum)
     if args.out is not None:
         with open(args.out + ".zeno.json", "w", newline="") as fh:
             fh.write(sidecar)
@@ -435,25 +387,11 @@ def cmd_ratio(config, args):
 
 
 def cmd_zeno(config, args):
-    if config.model != "tdot":
-        raise ConfigError("zeno requires model = tdot")
-    spectrum = lat.discrete_spectrum(config.params)
-    report = lat.zeno_time(spectrum)
-    _write_text(args.out, _json_document(
-        {"t0": report.t0, "tz": report.tz,
-         "imag_fraction": report.imag_fraction}))
+    _write_text(args.out, _zeno_document(lat.discrete_spectrum(config.params)))
     return _EXIT_OK
 
 
-def cmd_friedrichs(config, args):
-    if config.model != "friedrichs":
-        raise ConfigError("friedrichs command requires model = friedrichs")
-    return cmd_survival(config, args)
-
-
 def cmd_ep_locate(config, args):
-    if config.model != "tdot":
-        raise ConfigError("ep-locate requires model = tdot")
     lo, hi = config.options["ep_lo"], config.options["ep_hi"]
     if lo is None or hi is None:
         raise ConfigError("ep-locate needs [ep] eps1_lo and eps1_hi")
@@ -463,8 +401,9 @@ def cmd_ep_locate(config, args):
     return _EXIT_OK
 
 
-def _lattice_deviations(config, times):
+def _lattice_deviations(config):
     """Deviations of the contour amplitudes from Chebyshev propagation."""
+    times = config.times
     spectrum = lat.discrete_spectrum(config.params)
     lattice = orc.build_hamiltonian(config.params, config.options["oracle_n_sites"])
     # H is real symmetric, so <d1|e^{-iHt}|d2> = <d2|e^{-iHt}|d1>: one
@@ -485,9 +424,10 @@ def _lattice_deviations(config, times):
     return deviations
 
 
-def _cut_deviations(config, times):
+def _cut_deviations(config):
     """Deviation of the Friedrichs pole sum from the bound term plus the
     branch-cut quadrature, which shares no code with it."""
+    times = config.times
     poles = fm.friedrichs_poles(config.params)
     total = fm.survival_total(config.params, times, poles=poles)
     reference = (poles.bound_residue
@@ -498,14 +438,13 @@ def _cut_deviations(config, times):
 
 
 def cmd_oracle_check(config, args):
-    times = config.time_grid.values()
     tolerance = config.options["oracle_tolerance"]
     report = {"tolerance": tolerance}
     if config.model == "tdot":
         report["n_sites"] = config.options["oracle_n_sites"]
-        report["deviations"] = _lattice_deviations(config, times)
+        report["deviations"] = _lattice_deviations(config)
     else:
-        report["deviations"] = _cut_deviations(config, times)
+        report["deviations"] = _cut_deviations(config)
     worst = max(report["deviations"].values())
     report["max_deviation"] = worst
     report["pass"] = bool(worst <= tolerance)
@@ -516,25 +455,16 @@ def cmd_oracle_check(config, args):
     return _EXIT_OK
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "survival": cmd_survival,
-    "ratio": cmd_ratio,
-    "zeno": cmd_zeno,
-    "friedrichs": cmd_friedrichs,
-    "ep-locate": cmd_ep_locate,
-    "oracle-check": cmd_oracle_check,
-}
-
-# time-series commands are CSV contracts; report commands are JSON
-_FORMAT_CONSTRAINTS = {
-    "survival": ("csv",),
-    "friedrichs": ("csv",),
-    "ratio": ("csv",),
-    "zeno": ("json",),
-    "ep-locate": ("json",),
-    "oracle-check": ("json",),
-    "spectrum": ("csv", "json"),
+# command -> (function, output formats with the default first, models);
+# time-series commands are CSV contracts, report commands JSON
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, ("csv", "json"), ("tdot",)),
+    "survival": (cmd_survival, ("csv",), ("tdot", "friedrichs")),
+    "ratio": (cmd_ratio, ("csv",), ("tdot",)),
+    "zeno": (cmd_zeno, ("json",), ("tdot",)),
+    "friedrichs": (cmd_survival, ("csv",), ("friedrichs",)),
+    "ep-locate": (cmd_ep_locate, ("json",), ("tdot",)),
+    "oracle-check": (cmd_oracle_check, ("json",), ("tdot", "friedrichs")),
 }
 
 RECIPE_NAMES = ("fig2", "fig5", "fig6a", "fig6b", "fig6c", "fig8a", "fig8b",
@@ -553,18 +483,16 @@ def build_parser():
         prog="resdyn",
         description="Discrete spectra and survival-amplitude dynamics of the "
                     "T-shaped dot and Friedrichs models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        p = sub.add_parser(name)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--config", help="path to a run-config file")
-        src.add_argument("--recipe", choices=RECIPE_NAMES,
-                         help="bundled figure recipe")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="override the config's output format")
-        p.add_argument("--threads", type=int,
-                       help="sweep worker count (default: RESDYN_THREADS or 1)")
+    parser.add_argument("command", choices=_COMMANDS)
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--config", help="path to a run-config file")
+    src.add_argument("--recipe", choices=RECIPE_NAMES,
+                     help="bundled figure recipe")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"),
+                        help="override the config's output format")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="sweep worker count (default: 1)")
     return parser
 
 
@@ -591,15 +519,16 @@ def main(argv=None):
                 f"config declares command = {config.command!r}, "
                 f"invoked as {args.command!r}")
         if args.format:
-            config = RunConfig(config.model, config.command, config.params,
-                               config.time_grid, config.tolerances,
-                               args.format, config.sweep, config.options)
-        allowed = _FORMAT_CONSTRAINTS[args.command]
-        if config.out_format not in allowed:
+            config = dataclasses.replace(config, out_format=args.format)
+        func, formats, models = _COMMANDS[args.command]
+        if config.model not in models:
             raise ConfigError(
-                f"{args.command} emits {' or '.join(allowed)}, "
+                f"{args.command} requires model = {' or '.join(models)}")
+        if config.out_format not in formats:
+            raise ConfigError(
+                f"{args.command} emits {' or '.join(formats)}, "
                 f"not {config.out_format}")
-        return _DISPATCH[args.command](config, args)
+        return func(config, args)
     except ConfigError as exc:
         return _fail(exc, _EXIT_CONFIG)
     except (NoResonance, NoSignChange, Unclassifiable) as exc:

@@ -357,13 +357,15 @@ def _bessel_tail_analytic(b, energy, t_from):
     return (sin_part + cos_part) / np.sqrt(np.pi * b)
 
 
-def _period_breakpoints(lo, hi, period, extra=()):
-    n = int(np.ceil((hi - lo) / period))
-    pts = list(np.linspace(lo, hi, max(n, 1) + 1))
-    for p in extra:
-        if lo < p < hi:
-            pts.append(p)
-    return np.array(sorted(set(pts)))
+def _panel_edges(edges, period):
+    """Panel edges that split every segment [edges[k], edges[k+1]] of an
+    ascending array into n_k = max(1, ceil(width_k/period)) equal panels,
+    at edges[k] + j*(width_k/n_k): the arithmetic of np.linspace."""
+    width = np.diff(edges)
+    n = np.maximum(1, np.ceil(width / period)).astype(int)
+    seg = np.repeat(np.arange(len(n)), n)
+    j = np.arange(len(seg)) - np.repeat(np.cumsum(n) - n, n)
+    return np.append(edges[seg] + j * (width / n)[seg], edges[-1])
 
 
 def _segment_integrals(b, energy, edges, anchor_right, tol):
@@ -376,9 +378,7 @@ def _segment_integrals(b, energy, edges, anchor_right, tol):
     at most 1 whenever Im E <= 0.
     """
     period = np.pi / (2.0 * b + abs(energy.real) + abs(energy.imag))
-    pts = np.concatenate(
-        [_period_breakpoints(lo, hi, period)[:-1]
-         for lo, hi in zip(edges[:-1], edges[1:])] + [edges[-1:]])
+    pts = _panel_edges(edges, period)
 
     def integrand(tp):
         # a node of a machine-width segment can round onto edges[0]
@@ -579,7 +579,8 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     for idx in _octave_groups(np.maximum(1.0, 2.0 * b * np.abs(times) / 8.0)):
         tg = times[idx]
         spacing = np.pi / max(8.0, 2.0 * b * np.abs(tg).max())
-        pts = _period_breakpoints(-np.pi, np.pi, spacing, extra=extra)
+        pts = np.union1d(_panel_edges(np.array([-np.pi, np.pi]), spacing),
+                         extra)
         circle[idx] = _grid_quad(integrand, pts, tg, tol, "direct contour")
     total = bound_sum + circle
     return complex(total[0]) if scalar else total
@@ -632,14 +633,21 @@ def zeno_time(spectrum):
 
 def short_time_resonant_prob(spectrum, t):
     """P_R(t) in the small-|t| approximation J1(2bt) ~ bt; ``t`` is a time
-    or a 1-d grid."""
+    or a 1-d grid.
+
+    P_R = |psi (e^{-iE_R t}(1 + c) - c)|^2 with c = b lam_R/E_R tends to
+    |psi c|^2 as t -> +inf; for t < 0 it grows as e^{2|Im E_R||t|} and
+    overflows to inf once that passes the float range.
+    """
     times, scalar = _time_grid(t)
     res = spectrum.resonant()
     b = spectrum.params.b
     e_r, lam_r = res.energy, res.lam
     psi_prod = res.weight_w / lam_r
-    bracket = 1.0 - (b * lam_r / e_r) * (np.exp(1j * e_r * times) - 1.0)
-    prob = np.abs(psi_prod * np.exp(-1j * e_r * times) * bracket) ** 2
+    c = b * lam_r / e_r
+    with np.errstate(over="ignore", invalid="ignore"):
+        prob = np.abs(psi_prod
+                      * (np.exp(-1j * e_r * times) * (1.0 + c) - c)) ** 2
     return float(prob[0]) if scalar else prob
 
 

@@ -174,7 +174,7 @@ def test_c09_analytic_identities(fig9_spectrum, fig11_poles):
 
     t_cut = (np.log(1e12) + 8.0) / e_up.imag
     direct = piecewise_quad(integrand,
-                            lat._period_breakpoints(0.0, t_cut, 0.8),
+                            lat._panel_edges(np.array([0.0, t_cut]), 0.8),
                             abs_tol=1e-11, rel_tol=1e-10).value
     assert abs(direct - (-1j) * inside_lambda_root(b, e_up)) <= 1e-7
     lam_tracked = track_lambda_root(b, e_up, res.energy,
@@ -186,7 +186,7 @@ def test_c09_analytic_identities(fig9_spectrum, fig11_poles):
             return np.exp(-1j * e * tp) * lat._j1_over_t(b, tp)
 
         head = piecewise_quad(bound_integrand,
-                              lat._period_breakpoints(0.0, 150.0, 0.7),
+                              lat._panel_edges(np.array([0.0, 150.0]), 0.7),
                               abs_tol=1e-12, rel_tol=1e-11).value
         value = head + lat._bessel_tail_analytic(b, s.energy + 0j, 150.0)
         assert abs(value - 1j * s.lam) <= 1e-6

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from resdyn.cli import RECIPE_NAMES, fmt, load_config, main, recipe_text
+from resdyn import lattice as lat
+from resdyn.cli import RECIPE_NAMES, _csv_document, load_config, main, recipe_text
 from resdyn.errors import ConfigError
 
 BASE_TDOT = """
@@ -41,10 +42,35 @@ def column(header, rows, name, cast=float):
     return [cast(r[i]) for r in rows]
 
 
+def cell(x):
+    """The CSV cell rule, one value at a time: 12 significant digits and
+    negative zero printed as 0."""
+    return f"{float(x) + 0.0:.12g}"
+
+
 def test_fmt_is_twelve_digits_and_normalizes_zero():
-    assert fmt(-0.0) == "0"
-    assert fmt(1.0 / 3.0) == "0.333333333333"
-    assert fmt(1234.5) == "1234.5"
+    values = [-0.0, 1.0 / 3.0, 1234.5]
+    assert [cell(v) for v in values] == ["0", "0.333333333333", "1234.5"]
+    assert _csv_document({"x": np.array(values)}, ()) == \
+        "x\n" + "".join(cell(v) + "\n" for v in values)
+
+
+def test_fig6b_total_renders_by_the_cell_rule(tmp_path):
+    config = load_config(recipe_text("fig6b"))
+    spectrum = lat.discrete_spectrum(config.params)
+    weights = lat.theta_weights(spectrum,
+                                lat.ThetaState(float(config.options["theta"])))
+    total = sum(lat.amplitude_grid(spectrum, config.times, weights,
+                                   tol=config.tolerances))
+    # |A|^2 from Python's abs per value: np.abs on the whole array is one ulp
+    # off at rows 180 and 220, which moves the 12th digit there
+    expected = ["t,re_a,im_a,abs2_a"] + [
+        ",".join((cell(t), cell(a.real), cell(a.imag), cell(abs(a) ** 2)))
+        for t, a in zip(config.times.tolist(), total.tolist())]
+    out = tmp_path / "fig6b.csv"
+    assert main(["survival", "--recipe", "fig6b", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [",".join(line.split(",")[:4]) for line in lines] == expected
 
 
 def test_config_round_trip_and_validation(tmp_path):
@@ -65,7 +91,7 @@ def test_config_round_trip_and_validation(tmp_path):
 def test_single_point_grid_rules():
     cfg = BASE_TDOT.format(command="survival", eps1="0.2",
                            extra="[time]\nt_min = 0.0\nt_max = 0.0\nn_points = 1")
-    assert load_config(cfg).time_grid.n_points == 1
+    assert load_config(cfg).times.tolist() == [0.0]
     bad = cfg.replace("n_points = 1", "n_points = 2")
     with pytest.raises(ConfigError):
         load_config(bad)
@@ -275,23 +301,6 @@ def test_threads_do_not_change_sweep_output(tmp_path):
         assert open(out1, "rb").read() == open(out4, "rb").read(), command
 
 
-def test_resdyn_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("RESDYN_THREADS", "2")
-    cfg = BASE_TDOT.format(command="spectrum", eps1="0.2", extra="""
-[sweep]
-parameter = eps1
-lo = -1.0
-hi = 0.0
-n = 5
-""")
-    out = str(tmp_path / "env.csv")
-    assert main(["spectrum", "--config", write_cfg(tmp_path, cfg),
-                 "--out", out]) == 0
-    monkeypatch.setenv("RESDYN_THREADS", "notanint")
-    assert main(["spectrum", "--config", write_cfg(tmp_path, cfg),
-                 "--out", out]) == 2
-
-
 # ---------------------------------------------------------------------------
 # recipe behavior (datasets' qualitative structure)
 
@@ -415,6 +424,42 @@ components = true
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
     assert "a_R" in err["message"] and "t = -2.05" in err["message"]
+    assert not out.exists()
+
+
+def _fig9_on(t_min, t_max, tmp_path):
+    text = recipe_text("fig9")
+    i, j = text.index("[time]"), text.index("[survival]")
+    return write_cfg(tmp_path, text[:i] + f"""[time]
+t_min = {t_min}
+t_max = {t_max}
+n_points = 5
+
+""" + text[j:])
+
+
+def test_p_short_tends_to_its_long_time_limit(tmp_path):
+    config = load_config(recipe_text("fig9"))
+    spectrum = lat.discrete_spectrum(config.params)
+    res = spectrum.resonant()
+    # |psi b lam/E|^2 with psi = w/lam
+    limit = abs(res.weight_w * config.params.b / res.energy) ** 2
+    assert lat.short_time_resonant_prob(spectrum, 1e4) == \
+        pytest.approx(limit, rel=1e-12, abs=0.0)
+    out = str(tmp_path / "long.csv")
+    assert main(["survival", "--config", _fig9_on(0.0, 1e4, tmp_path),
+                 "--out", out]) == 0
+    header, rows = read_csv(out)
+    assert column(header, rows, "p_short", cast=str)[-1] == cell(limit)
+
+
+def test_p_short_overflow_exits_3_naming_it(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["survival", "--config", _fig9_on(-1e4, 1e4, tmp_path),
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "p_short" in err["message"] and "t = -10000" in err["message"]
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ from resdyn.lattice import (
     survival_direct,
     theta_amplitude,
 )
-from resdyn.lattice import _bessel_tail_analytic, _j1_over_t, _period_breakpoints
+from resdyn.lattice import _bessel_tail_analytic, _j1_over_t, _panel_edges
 from resdyn.kernel import piecewise_quad
 
 from conftest import FIG9_PARAMS
@@ -88,7 +88,8 @@ def test_bound_identity_integral_equals_i_lambda(fig9_spectrum):
         def integrand(tp, e=s.energy):
             return np.exp(-1j * e * tp) * _j1_over_t(b, tp)
 
-        head = piecewise_quad(integrand, _period_breakpoints(0.0, 150.0, 0.7),
+        head = piecewise_quad(integrand,
+                              _panel_edges(np.array([0.0, 150.0]), 0.7),
                               abs_tol=1e-12, rel_tol=1e-11).value
         value = head + _bessel_tail_analytic(b, s.energy + 0j, 150.0)
         assert abs(value - 1j * s.lam) < 1e-6
@@ -110,7 +111,7 @@ def test_resonant_identity_by_analytic_continuation(fig9_spectrum):
         gamma = e.imag
         t_cut = (np.log(1e12) + 8.0) / gamma
         direct = piecewise_quad(
-            integrand, _period_breakpoints(0.0, t_cut, 0.8),
+            integrand, _panel_edges(np.array([0.0, t_cut]), 0.8),
             abs_tol=1e-11, rel_tol=1e-10).value
         lam_in = inside_lambda_root(b, e)
         assert abs(direct - (-1j) * lam_in) < 1e-7, f"E={e}"
@@ -217,7 +218,7 @@ def test_bound_identity_for_detached_real_lambda():
     def integrand(tp):
         return np.exp(-1j * energy * tp) * _j1_over_t(b, tp)
 
-    head = piecewise_quad(integrand, _period_breakpoints(0.0, 150.0, 0.55),
+    head = piecewise_quad(integrand, _panel_edges(np.array([0.0, 150.0]), 0.55),
                           abs_tol=1e-12, rel_tol=1e-11).value
     value = head + _bessel_tail_analytic(b, energy + 0j, 150.0)
     assert abs(value - 1j * lam) < 1e-6
