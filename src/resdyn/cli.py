@@ -270,8 +270,9 @@ def _component_labels(spectrum):
 
 
 def _tdot_series(config):
-    """The T-dot total amplitude and the (label, values) series its options
-    ask for."""
+    """The T-dot total amplitude, its per-state components (label, values)
+    on request, the other named series its options ask for and its real
+    columns."""
     spectrum = lat.discrete_spectrum(config.params)
     times, tol = config.times, config.tolerances
     theta_raw = config.options["theta"]
@@ -285,17 +286,17 @@ def _tdot_series(config):
                                     spectrum=spectrum)
     else:
         total = sum(chi)
-    series = []
+    components = []
     if config.options["components"]:
-        series += [("chi_" + name, row)
-                   for row, name in zip(chi, _component_labels(spectrum))]
+        components = list(zip(_component_labels(spectrum), chi))
+    series = []
     if config.options["isolated_residue"]:
         series.append(("xi_res",
                        lat.isolated_residue_amplitude(spectrum, times)))
     real = {}
     if config.options["short_time"]:
         real["p_short"] = lat.short_time_resonant_prob(spectrum, times)
-    return total, series, real
+    return total, components, series, real
 
 
 def _friedrichs_series(config):
@@ -303,25 +304,33 @@ def _friedrichs_series(config):
     times = config.times
     poles = fm.friedrichs_poles(config.params)
     total = fm.survival_total(config.params, times, poles=poles)
-    series = []
+    components = []
     if config.options["components"]:
-        series = [("a_" + pole.label,
-                   fm.a_component(config.params, pole.label, times, poles=poles))
-                  for pole in poles.roots]
-    return total, series, {}
+        components = [(pole.label, fm.a_component(config.params, pole.label,
+                                                  times, poles=poles))
+                      for pole in poles.roots]
+    return total, components, [], {}
 
 
-def _survival_columns(config):
+# model -> (series function, stem of its component columns)
+_SURVIVAL_MODELS = {"tdot": (_tdot_series, "chi"),
+                    "friedrichs": (_friedrichs_series, "a")}
+
+
+def _survival_columns(config, parts, by_position=False):
     """Columns of a survival table: t, the total amplitude and |A|^2, a
-    re/im column pair per named series, then the real columns."""
-    model_series = (_friedrichs_series if config.model == "friedrichs"
-                    else _tdot_series)
-    total, series, real = model_series(config)
+    re/im column pair per component and per named series, then the real
+    columns.  Components are named by their label, or by their 1-based
+    position with ``by_position``."""
+    total, components, series, real = parts
+    stem = _SURVIVAL_MODELS[config.model][1]
     # Python's abs per value: numpy's vectorised complex abs can differ from
     # it in the last bit, which can move the 12th printed digit
     columns = {"t": config.times, "re_a": total.real, "im_a": total.imag,
                "abs2_a": np.array([abs(a) ** 2 for a in total.tolist()])}
-    for label, values in series:
+    named = [(f"{stem}_{i + 1 if by_position else label}", values)
+             for i, (label, values) in enumerate(components)]
+    for label, values in named + series:
         columns[f"re_{label}"] = values.real
         columns[f"im_{label}"] = values.imag
     columns.update(real)
@@ -329,18 +338,24 @@ def _survival_columns(config):
 
 
 def cmd_survival(config, args):
+    model_series = _SURVIVAL_MODELS[config.model][0]
     if config.sweep_parameter is None:
-        _write_text(args.out, _csv_document(_survival_columns(config), ("t",)))
+        _write_text(args.out, _csv_document(
+            _survival_columns(config, model_series(config)), ("t",)))
         return _EXIT_OK
-    tables = _sweep_map(
-        lambda value: _survival_columns(
+    parts = _sweep_map(
+        lambda value: model_series(
             dataclasses.replace(config, params=_swept_params(config, value))),
         config.sweep_values, args.threads)
+    # the state classes can change along the sweep; the columns are joined
+    # by position, so then the components are named by position too
+    by_position = len({tuple(label for label, _ in components)
+                        for _, components, _, _ in parts}) > 1
+    tables = [_survival_columns(config, p, by_position) for p in parts]
     columns = {config.sweep_parameter: np.repeat(config.sweep_values,
                                                  len(config.times))}
-    # columns match by position; the header takes the first value's labels
-    for name, *parts in zip(tables[0], *(table.values() for table in tables)):
-        columns[name] = np.concatenate(parts)
+    for name, *cols in zip(tables[0], *(table.values() for table in tables)):
+        columns[name] = np.concatenate(cols)
     _write_text(args.out, _csv_document(columns, (config.sweep_parameter, "t")))
     return _EXIT_OK
 
@@ -413,13 +428,18 @@ def _lattice_deviations(config):
     direct = lat.survival_direct(config.params, times, tol=config.tolerances,
                                  spectrum=spectrum)
     deviations = {"d1": float(np.max(np.abs(direct - a11)))}
-    raw = config.options["oracle_thetas"]
-    for tok in filter(None, (s.strip() for s in raw.split(","))):
+    thetas = [tok for tok in (s.strip() for s in
+                              config.options["oracle_thetas"].split(",")) if tok]
+    if thetas:
+        # the weights only scale each state's row, so one grid at unit
+        # weights serves every theta
+        units = lat.amplitude_grid(spectrum, times,
+                                   np.ones(len(spectrum.states)),
+                                   tol=config.tolerances)
+    for tok in thetas:
         theta = lat.ThetaState(float(tok))
         exact = (a11 + np.exp(1j * theta.theta) * a21) / np.sqrt(2.0)
-        total = sum(lat.amplitude_grid(spectrum, times,
-                                       lat.theta_weights(spectrum, theta),
-                                       tol=config.tolerances))
+        total = sum(lat.theta_weights(spectrum, theta)[:, None] * units)
         deviations[f"theta_{tok}"] = float(np.max(np.abs(total - exact)))
     return deviations
 

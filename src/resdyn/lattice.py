@@ -544,12 +544,15 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     """A(t) = <d1|e^{-iHt}|d1> from bound-pole residues plus the unit-circle
     integral of the partial-fraction contour integrand.
 
-    ``t`` is a time or a 1-d grid (a grid gives an array).  Only the phase
-    e^{2ibt cos k} of the integrand depends on t, so the times are grouped
-    by octave of 2b|t| and each group is one vector-valued quadrature on
-    the panel edges its largest |t| needs; 2b|t| <= 8 is one group.
+    ``t`` is a time or a 1-d grid (a grid gives an array).  H and |d1> are
+    real, so A(-t) = conj A(t): only the distinct |t| are integrated.  Only
+    the phase e^{2ibt cos k} of the integrand depends on t, so those are
+    grouped by octave of 2b|t| and each group is one vector-valued
+    quadrature on the panel edges its largest |t| needs; 2b|t| <= 8 is one
+    group.
     """
-    times, scalar = _time_grid(t)
+    grid, scalar = _time_grid(t)
+    times, inverse = np.unique(np.abs(grid), return_inverse=True)
     s = spectrum if spectrum is not None else discrete_spectrum(params)
     b, g = params.b, params.g
     bound_sum = sum(
@@ -576,13 +579,14 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     extra = [float(np.angle(st.lam)) for st in s.states
              if st.state_class in (StateClass.RESONANT, StateClass.ANTI_RESONANT)]
     circle = np.empty(len(times), dtype=complex)
-    for idx in _octave_groups(np.maximum(1.0, 2.0 * b * np.abs(times) / 8.0)):
+    for idx in _octave_groups(np.maximum(1.0, 2.0 * b * times / 8.0)):
         tg = times[idx]
-        spacing = np.pi / max(8.0, 2.0 * b * np.abs(tg).max())
+        spacing = np.pi / max(8.0, 2.0 * b * tg.max())
         pts = np.union1d(_panel_edges(np.array([-np.pi, np.pi]), spacing),
                          extra)
         circle[idx] = _grid_quad(integrand, pts, tg, tol, "direct contour")
-    total = bound_sum + circle
+    total = (bound_sum + circle)[inverse]
+    total = np.where(grid < 0, np.conj(total), total)
     return complex(total[0]) if scalar else total
 
 

@@ -4,9 +4,10 @@ The dot plus 2N lead sites form a real symmetric matrix whose exact dynamics
 (up to the reflection horizon N/(2b)) ground-truths every contour-based
 amplitude.  The propagation starts from |d1> and runs in real arithmetic:
 the Chebyshev vectors are streamed in fixed-size blocks and never stored
-whole, so memory stays at a few vectors per grid time.  The expansion uses
-scipy's Bessel J_k, keeping this module independent of the kernel's own
-Bessel evaluation used on the analytic side.
+whole, so memory stays at a few vectors per grid time.  The expansion
+coefficients (-i)^k J_k(alpha) are the Fourier coefficients of
+e^{-i alpha cos theta} (Jacobi-Anger), taken from one FFT per distinct
+|alpha|, so this module shares no Bessel evaluation with the analytic side.
 """
 
 from __future__ import annotations
@@ -102,17 +103,17 @@ def _chebyshev_order(alpha):
 
 def _coefficients(alphas, order):
     """Real c with c_k = (2 - delta_k0) (-i)^k J_k(alpha) equal to c[:, k]
-    for even k and to i c[:, k] for odd k, one row per alpha.
+    for even k and to i c[:, k] for odd k, one row per alpha >= 0.
 
-    J_k is evaluated once per distinct |alpha| and reflected with
-    J_k(-x) = (-1)^k J_k(x).
+    By Jacobi-Anger, cos(alpha cos x) - sin(alpha cos x) is the cosine
+    series sum_k c[:, k] cos(k x), so one real FFT on 2^m >= 2(order + 1)
+    points gives every coefficient; the aliases it folds in are J_k beyond
+    the order, which _chebyshev_order keeps below 1e-17.
     """
-    ks = np.arange(order + 1)
-    mags, inverse = np.unique(np.abs(alphas), return_inverse=True)
-    bessel = jv(ks[None, :], mags[:, None])[inverse]
-    phase = np.where(ks == 0, 1.0, 2.0) * np.array([1.0, -1.0, -1.0, 1.0])[ks % 4]
-    reflect = (alphas[:, None] < 0) & (ks % 2 == 1)
-    return np.where(reflect, -1.0, 1.0) * phase * bessel
+    m = 1 << (2 * order + 1).bit_length()
+    arg = np.outer(alphas, np.cos(2.0 * np.pi * np.arange(m) / m))
+    series = np.fft.rfft(np.cos(arg) - np.sin(arg), axis=1).real[:, :order + 1]
+    return np.where(np.arange(order + 1) == 0, 1.0, 2.0) / m * series
 
 
 def propagate(lattice, times):
@@ -122,8 +123,9 @@ def propagate(lattice, times):
     exact Gershgorin row bound.  H is real symmetric and the initial state
     |d1> is real, so every T_k(H~)|d1> is real; they are generated in blocks
     of _BLOCK and each block is added into Re and Im of the state at every
-    grid time with two real matrix products (even k carry real
-    coefficients, odd k imaginary ones).  Working memory is
+    distinct |t| with two real matrix products (even k carry real
+    coefficients, odd k imaginary ones).  Since J_k(-x) = (-1)^k J_k(x),
+    the state at -t is the conjugate of the state at t.  Working memory is
     (n_times + _BLOCK) * dim reals, whatever the expansion order.  Norm
     conservation is reported per time.
     """
@@ -131,7 +133,8 @@ def propagate(lattice, times):
     if times.ndim != 1 or len(times) == 0:
         raise DomainError("times must be a non-empty 1-d grid")
     flags = []
-    t_max = float(np.max(np.abs(times)))
+    mags, inverse = np.unique(np.abs(times), return_inverse=True)
+    t_max = float(mags[-1])
     if t_max > lattice.safe_horizon:
         flags.append("reflection-contamination")
         warnings.warn(
@@ -143,12 +146,12 @@ def propagate(lattice, times):
     h_tilde = h / scale
     alpha_max = scale * t_max
     order = _chebyshev_order(alpha_max) if alpha_max > 0 else 1
-    coeff = _coefficients(scale * times, order)
+    coeff = _coefficients(scale * mags, order)
     c_even, c_odd = coeff[:, 0::2].copy(), coeff[:, 1::2].copy()
 
     dim = lattice.dimension
-    real = np.zeros((len(times), dim))
-    imag = np.zeros((len(times), dim))
+    real = np.zeros((len(mags), dim))
+    imag = np.zeros((len(mags), dim))
     vecs = np.empty((_BLOCK + 2, dim))  # rows 0, 1 carry T_{k0-2}, T_{k0-1}
     for k0 in range(0, order + 1, _BLOCK):
         n = min(_BLOCK, order + 1 - k0)
@@ -167,9 +170,10 @@ def propagate(lattice, times):
         imag += c_odd[:, k0 // 2:k0 // 2 + len(odd)] @ odd
         vecs[:2] = vecs[n:n + 2]
 
-    amplitudes = {"d1": real[:, 0] + 1j * imag[:, 0],
-                  "d2": real[:, 1] + 1j * imag[:, 1]}
+    sign = np.where(times < 0, -1.0, 1.0)
+    amplitudes = {site: real[inverse, i] + 1j * sign * imag[inverse, i]
+                  for i, site in enumerate(("d1", "d2"))}
     norms = np.sqrt(np.einsum("ij,ij->i", real, real)
-                    + np.einsum("ij,ij->i", imag, imag))
+                    + np.einsum("ij,ij->i", imag, imag))[inverse]
     return PropagationResult(times, amplitudes, norms, lattice.safe_horizon,
                              tuple(flags))

@@ -5,12 +5,15 @@ oracle sums the defining power series term by term, the contour oracles
 quadrature the defining integrals directly, the root tracker continues
 an eigenvalue branch step by step instead of using the closed forms, the
 Friedrichs branch search picks the erfc square-root branches by comparison
-with the defining integral instead of the derived rule, and the Friedrichs
-pole sum is redone at 40 digits with mpmath's roots and erfc.
+with the defining integral instead of the derived rule, the Friedrichs
+pole sum is redone at 40 digits with mpmath's roots and erfc, and the
+truncated-lattice amplitudes come from scipy's expm_multiply instead of a
+Chebyshev expansion.
 """
 
 import mpmath as mp
 import numpy as np
+from scipy.sparse.linalg import expm_multiply
 
 from resdyn.friedrichs import _cut_main_breakpoints, _fm7_value, _tail_rotated
 from resdyn.kernel import piecewise_quad
@@ -26,6 +29,16 @@ def j1_power_series(x, terms=80):
         total += term
         term = -term * half * half / ((m + 1) * (m + 2))
     return total
+
+
+def expm_rows(lattice, times):
+    """<d1|e^{-iHt}|d1> and <d2|e^{-iHt}|d1> on a truncated lattice, one
+    expm_multiply per time."""
+    h = lattice.matrix.astype(complex)
+    v = np.zeros(lattice.dimension, dtype=complex)
+    v[0] = 1.0
+    rows = np.array([expm_multiply(-1j * t * h, v)[:2] for t in times])
+    return rows[:, 0], rows[:, 1]
 
 
 def xin_circle_component(b, weight, lam_n, t, abs_tol=1e-12):

@@ -496,6 +496,57 @@ n = 2
     assert keys == sorted(keys)  # sorted by sweep value then t
 
 
+def test_survival_sweep_names_components_by_position_when_classes_change(
+        tmp_path):
+    # the second state is anti-bound at eps1 = 0.187069 and bound at the
+    # other two values, so no class label fits a whole column
+    params = """
+[run]
+schema_version = 1
+model = tdot
+command = survival
+
+[params]
+b = 1.0
+eps1 = {eps1!r}
+eps2 = -0.125099
+g = 0.369192
+t2l = 0.95332
+t2r = 1.067363
+
+[time]
+t_min = -2.0
+t_max = 2.0
+n_points = 5
+
+[survival]
+components = true
+"""
+    sweep = params.format(eps1=0.187069) + """
+[sweep]
+parameter = eps1
+lo = 0.187069
+hi = 0.287069
+n = 3
+"""
+    out = str(tmp_path / "sweep.csv")
+    assert main(["survival", "--config", write_cfg(tmp_path, sweep),
+                 "--out", out]) == 0
+    header, rows = read_csv(out)
+    assert header[5:] == [f"{part}_chi_{i}" for i in range(1, 5)
+                          for part in ("re", "im")]
+    single_headers = set()
+    for k, eps1 in enumerate(np.linspace(0.187069, 0.287069, 3)):
+        one = str(tmp_path / f"one{k}.csv")
+        assert main(["survival", "--config",
+                     write_cfg(tmp_path, params.format(eps1=float(eps1)),
+                               f"one{k}.cfg"), "--out", one]) == 0
+        one_header, one_rows = read_csv(one)
+        single_headers.add(tuple(one_header))
+        assert [r[1:] for r in rows[5 * k:5 * k + 5]] == one_rows
+    assert len(single_headers) > 1
+
+
 def test_format_constraints(tmp_path, capsys):
     cfg = BASE_TDOT.format(command="zeno", eps1="0.2", extra="")
     path = write_cfg(tmp_path, cfg)

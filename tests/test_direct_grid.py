@@ -37,7 +37,8 @@ def _elementwise(fn, times):
     np.linspace(-10.0, 10.0, 321),    # fig5: t = 0 and every mirror
     np.linspace(-4.0, 8.0, 481),      # fig9
     np.linspace(-1000.0, 1000.0, 41)[::-1],  # descending: any order works
-], ids=["fig5", "fig9", "pm1000"])
+    np.linspace(-12.0, -0.5, 24),     # negative only: no mirror on the grid
+], ids=["fig5", "fig9", "pm1000", "negative"])
 def test_survival_direct_grid_equals_scalar_calls(fig9_spectrum, times):
     def one(t):
         return survival_direct(FIG9_PARAMS, t, spectrum=fig9_spectrum)

@@ -1,15 +1,22 @@
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 from resdyn.errors import DomainError, ReflectionContamination
 from resdyn.kernel import bessel_j1
 from resdyn.lattice import TDotParams, ThetaState, survival_direct, theta_amplitude
-from resdyn.oracle import build_hamiltonian, propagate
+from resdyn.oracle import (
+    _chebyshev_order,
+    _coefficients,
+    build_hamiltonian,
+    propagate,
+)
 
 from conftest import FIG9_PARAMS
+from _oracles import expm_rows
 
 
 def test_matrix_is_symmetric_and_structured():
@@ -122,20 +129,11 @@ def test_d2_amplitude_available_on_request():
     assert abs(res.amplitudes["d2"][0]) > 0.0
 
 
-def _expm_rows(lat, times):
-    """<d1|e^{-iHt}|d1> and <d2|e^{-iHt}|d1> by scipy's expm_multiply."""
-    h = lat.matrix.astype(complex)
-    v = np.zeros(lat.dimension, dtype=complex)
-    v[0] = 1.0
-    rows = np.array([expm_multiply(-1j * t * h, v)[:2] for t in times])
-    return rows[:, 0], rows[:, 1]
-
-
 def test_matches_expm_multiply_on_mixed_sign_grid():
     lat = build_hamiltonian(FIG9_PARAMS, 200)
     times = np.array([7.5, -3.0, 0.0, 3.0, -60.0, 7.5, -7.5, 60.0, 0.4, -21.0])
     res = propagate(lat, times)
-    d1, d2 = _expm_rows(lat, times)
+    d1, d2 = expm_rows(lat, times)
     assert np.array_equal(res.times, times)
     assert np.max(np.abs(res.amplitudes["d1"] - d1)) < 1e-12
     assert np.max(np.abs(res.amplitudes["d2"] - d2)) < 1e-12
@@ -163,3 +161,31 @@ def test_working_memory_does_not_grow_with_order():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_fft_coefficients_match_40_digit_bessel():
+    # c[:, k] holds (2 - delta_k0) (-i)^k J_k(alpha), divided by i for odd k
+    alphas = np.array([0.0, 1e-9, 0.5, 50.0, 1213.5, 2427.0])
+    order = _chebyshev_order(alphas[-1])
+    ks = np.array([0, 1, 2, 3, 17, 50, 51, 1000, 1213, 1214, 2400, 2427,
+                   2428, order])
+    with mp.workdps(40):
+        bessel = np.array([[float(mp.besselj(int(k), mp.mpf(a))) for k in ks]
+                           for a in alphas])
+    unit = (2.0 - (ks == 0)) * (-1j) ** ks / 1j ** (ks % 2)
+    exact = (unit * bessel).real
+    fft_err = np.max(np.abs(_coefficients(alphas, order)[:, ks] - exact))
+    jv_err = np.max(np.abs((unit * jv(ks, alphas[:, None])).real - exact))
+    assert fft_err <= jv_err
+    assert fft_err < 1e-13
+
+
+def test_mirrored_times_are_conjugates_bit_for_bit():
+    lat = build_hamiltonian(FIG9_PARAMS, 200)
+    times = np.linspace(-60.0, 60.0, 25)
+    res = propagate(lat, times)
+    for site in ("d1", "d2"):
+        amps = res.amplitudes[site]
+        assert np.array_equal(amps.real, amps.real[::-1])
+        assert np.array_equal(amps.imag[:12], -amps.imag[:12:-1])
+    assert np.array_equal(res.norms, res.norms[::-1])
