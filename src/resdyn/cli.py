@@ -347,8 +347,13 @@ def cmd_survival(config, args):
         lambda value: model_series(
             dataclasses.replace(config, params=_swept_params(config, value))),
         config.sweep_values, args.threads)
-    # the state classes can change along the sweep; the columns are joined
-    # by position, so then the components are named by position too
+    # the state classes and their number can change along the sweep; the
+    # columns are joined by position, so then the components are named by
+    # position too, and a state missing at a sweep value contributes 0
+    width = max(len(components) for _, components, _, _ in parts)
+    missing = (None, np.zeros(len(config.times), dtype=complex))
+    parts = [(total, components + [missing] * (width - len(components)),
+              series, real) for total, components, series, real in parts]
     by_position = len({tuple(label for label, _ in components)
                         for _, components, _, _ in parts}) > 1
     tables = [_survival_columns(config, p, by_position) for p in parts]

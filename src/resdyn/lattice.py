@@ -545,11 +545,14 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     integral of the partial-fraction contour integrand.
 
     ``t`` is a time or a 1-d grid (a grid gives an array).  H and |d1> are
-    real, so A(-t) = conj A(t): only the distinct |t| are integrated.  Only
-    the phase e^{2ibt cos k} of the integrand depends on t, so those are
-    grouped by octave of 2b|t| and each group is one vector-valued
-    quadrature on the panel edges its largest |t| needs; 2b|t| <= 8 is one
-    group.
+    real, so A(-t) = conj A(t): only the distinct |t| are integrated.  For
+    the same reason the states and weights come in conjugate pairs, so the
+    integrand f at -k is the mirror of f at k and the circle folds onto
+    [0, pi]: f(k) + f(-k) = -(2bg^2/pi) sin k Im sum_n W_n/(e^{ik} - lam_n)
+    e^{2ibt cos k}, a real t-independent factor times a phase.  Only that
+    phase depends on t, so the times are grouped by octave of 2b|t| and
+    each group is one vector-valued quadrature on the panel edges its
+    largest |t| needs; 2b|t| <= 8 is one group.
     """
     grid, scalar = _time_grid(t)
     times, inverse = np.unique(np.abs(grid), return_inverse=True)
@@ -563,27 +566,35 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     w_big = np.array([st.weight_w * st.lam / (b * g * g) for st in s.states])
 
     def integrand(tc):
-        rate = 2j * b * tc
-
         def f(k):
-            # scattering-state density on the band: at t = 0 this is the
-            # positive weight sum_a |<d1|phi_ka>|^2 / 2pi, which pins the sign
+            # f(k) + f(-k); at t = 0 this is the positive scattering-state
+            # density sum_a |<d1|phi_ka>|^2 / pi on the band
             lam = np.exp(1j * k)
             frac = (w_big[None, :] / (lam[:, None] - lams[None, :])).sum(axis=1)
-            density = (b * g * g / np.pi) * 1j * np.sin(k)
-            return (density[:, None] * np.exp(rate[None, :] * np.cos(k)[:, None])
-                    * frac[:, None])
+            density = (-2.0 * b * g * g / np.pi) * np.sin(k) * frac.imag
+            phase = np.outer(np.cos(k), 2.0 * b * tc)
+            return density[:, None] * (np.cos(phase) + 1j * np.sin(phase))
 
         return f
 
-    extra = [float(np.angle(st.lam)) for st in s.states
+    extra = [abs(float(np.angle(st.lam))) for st in s.states
              if st.state_class in (StateClass.RESONANT, StateClass.ANTI_RESONANT)]
+    # a real root puts a peak of width |ln|lam|| at k = 0 (lam > 0) or pi,
+    # an edge of every panel set.  On the full circle the odd part of the
+    # integrand showed it to the error estimate; the fold cancels that part,
+    # so the panels are graded towards the peak by factors of 4 from its width
+    peaks = [(0.0 if st.lam.real > 0 else np.pi, abs(np.log(abs(st.lam))))
+             for st in s.states
+             if st.state_class in (StateClass.BOUND, StateClass.ANTI_BOUND)]
     circle = np.empty(len(times), dtype=complex)
     for idx in _octave_groups(np.maximum(1.0, 2.0 * b * times / 8.0)):
         tg = times[idx]
         spacing = np.pi / max(8.0, 2.0 * b * tg.max())
-        pts = np.union1d(_panel_edges(np.array([-np.pi, np.pi]), spacing),
-                         extra)
+        graded = [abs(end - width * 4.0 ** np.arange(
+                      max(0.0, np.ceil(np.log2(spacing / width) / 2.0))))
+                  for end, width in peaks]
+        pts = np.union1d(_panel_edges(np.array([0.0, np.pi]), spacing),
+                         np.concatenate([extra, *graded]))
         circle[idx] = _grid_quad(integrand, pts, tg, tol, "direct contour")
     total = (bound_sum + circle)[inverse]
     total = np.where(grid < 0, np.conj(total), total)

@@ -5,7 +5,7 @@ import pytest
 
 from resdyn import lattice as lat
 from resdyn.cli import RECIPE_NAMES, _csv_document, load_config, main, recipe_text
-from resdyn.errors import ConfigError
+from resdyn.errors import ConfigError, DegenerateLeadCoupling
 
 BASE_TDOT = """
 [run]
@@ -545,6 +545,55 @@ n = 3
         single_headers.add(tuple(one_header))
         assert [r[1:] for r in rows[5 * k:5 * k + 5]] == one_rows
     assert len(single_headers) > 1
+
+
+def test_survival_sweep_pads_a_missing_state_with_zero(tmp_path):
+    # at t2r = 0.8 the lead coupling is T = b, where the quartic is a cubic:
+    # 3 states there and 4 at the other two sweep values
+    cfg = """
+[run]
+schema_version = 1
+model = tdot
+command = survival
+
+[params]
+b = 1.0
+eps1 = 0.2
+eps2 = 0.1
+g = 0.4
+t2l = 0.6
+t2r = 0.7
+
+[time]
+t_min = -2.0
+t_max = 2.0
+n_points = 5
+
+[survival]
+components = true
+
+[sweep]
+parameter = t2r
+lo = 0.7
+hi = 0.8
+n = 3
+"""
+    out = str(tmp_path / "sweep.csv")
+    with pytest.warns(DegenerateLeadCoupling):
+        assert main(["survival", "--config", write_cfg(tmp_path, cfg),
+                     "--out", out]) == 0
+    header, rows = read_csv(out)
+    assert header[5:] == [f"{part}_chi_{i}" for i in range(1, 5)
+                          for part in ("re", "im")]
+    values = np.array(rows, dtype=float)
+    t2r, re_chi, im_chi = values[:, 0], values[:, 5::2], values[:, 6::2]
+    assert np.all(re_chi[t2r == 0.8, 3] == 0.0)
+    assert np.all(im_chi[t2r == 0.8, 3] == 0.0)
+    assert np.all(re_chi[t2r < 0.8, 3] != 0.0)
+    np.testing.assert_allclose(re_chi.sum(axis=1), values[:, 2], rtol=0,
+                               atol=1e-8)
+    np.testing.assert_allclose(im_chi.sum(axis=1), values[:, 3], rtol=0,
+                               atol=1e-8)
 
 
 def test_format_constraints(tmp_path, capsys):

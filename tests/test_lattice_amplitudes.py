@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from resdyn.errors import NoResonance
+from resdyn.errors import DegenerateLeadCoupling, NoResonance
 from resdyn.lattice import (
     StateClass,
     TDotParams,
@@ -9,6 +9,7 @@ from resdyn.lattice import (
     Tolerances,
     component_chi,
     discrete_spectrum,
+    ep_locate,
     isolated_residue_amplitude,
     survival_direct,
     theta_amplitude,
@@ -41,6 +42,67 @@ def test_survival_at_negative_times_matches_expm_multiply(fig9_spectrum):
     exact, _ = expm_rows(build_hamiltonian(FIG9_PARAMS, 100), times)
     am = survival_direct(FIG9_PARAMS, times, tol=TIGHT, spectrum=fig9_spectrum)
     assert np.max(np.abs(am - exact)) < 1e-8
+
+
+# survival_direct folds the unit circle onto [0, pi]; each case is checked
+# against expm_multiply on a lattice whose horizon (50) covers the grid
+FOLD_TIMES = np.array([-30.0, -4.259, -1.0, 0.0, 0.3, 2.0, 4.259, 12.5, 40.0])
+# eps1 that put a bound root at distance 1e-3, 1e-5, 1e-7 from +1; with
+# eps2 = 0, eps1 -> -eps1 maps lambda -> -lambda
+BAND_EDGE_EPS1 = (-1.87507137162, -1.87500070323, -1.87500000703)
+
+
+def _fold_error(params):
+    spectrum = discrete_spectrum(params)
+    exact, _ = expm_rows(build_hamiltonian(params, 100), FOLD_TIMES)
+    direct = survival_direct(params, FOLD_TIMES, spectrum=spectrum)
+    assert direct[FOLD_TIMES == 0.0][0].imag == 0.0
+    return spectrum, float(np.max(np.abs(direct - exact)))
+
+
+def test_folded_contour_on_a_three_state_spectrum():
+    # T = (0.6^2 + 0.8^2)/b = b: the quartic degenerates to a cubic
+    params = TDotParams(b=1.0, eps1=0.2, eps2=0.1, g=0.4, t2l=0.6, t2r=0.8)
+    with pytest.warns(DegenerateLeadCoupling):
+        spectrum, err = _fold_error(params)
+    assert len(spectrum.states) == 3
+    assert err < 1e-12
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("eps1,distance", zip(BAND_EDGE_EPS1, (1e-3, 1e-5, 1e-7)))
+def test_folded_contour_with_a_bound_root_next_to_the_band_edge(
+        eps1, distance, sign):
+    # the root puts a peak of width ~distance at k = 0 (lambda near +1) or
+    # k = pi (lambda near -1) that the panels must resolve
+    params = TDotParams(b=1.0, eps1=sign * eps1, eps2=0.0, g=0.4, t2l=0.6,
+                        t2r=0.6)
+    spectrum, err = _fold_error(params)
+    bound = [s.lam.real for s in spectrum.by_class(StateClass.BOUND)]
+    assert min(abs(lam - sign) for lam in bound) == pytest.approx(distance,
+                                                                rel=1e-3)
+    assert err < 1e-11
+
+
+def test_folded_contour_at_the_exceptional_point():
+    star = ep_locate(FIG9_PARAMS, -3.0, 0.0)
+    for eps1 in (star - 1e-4, star + 1e-4):
+        _, err = _fold_error(TDotParams(1.0, eps1, 0.0, 0.4, 1.0, 1.0))
+        assert err < 1e-10, eps1
+    # at the EP itself the weights are only as exact as the double root,
+    # and the contour is as exact as its weights
+    spectrum, err = _fold_error(TDotParams(1.0, star, 0.0, 0.4, 1.0, 1.0))
+    assert err < spectrum.completeness_defect() + 1e-10
+
+
+def test_folded_contour_on_a_sweep_operation():
+    # a sweep's T-dot operation with a bound root at 0.9947
+    params = TDotParams(b=1.0, eps1=0.257529, eps2=-0.095961, g=0.467976,
+                        t2l=0.952849, t2r=0.953267)
+    spectrum, err = _fold_error(params)
+    assert max(s.lam.real for s in spectrum.by_class(StateClass.BOUND)) \
+        == pytest.approx(0.9947, abs=1e-4)
+    assert err < 1e-12
 
 
 def test_components_at_zero_equal_w_over_lambda(fig9_spectrum):
