@@ -269,6 +269,20 @@ def _component_labels(spectrum):
     return labels
 
 
+def _check_component_sum(total, chi, times, tol):
+    """The direct contour and the component sum are computed independently;
+    raise DomainError, naming the worst time, where they differ by more than
+    ten times the quadrature allowance abs_tol + rel_tol sum_n |chi_n|."""
+    allowance = 10.0 * (tol.abs_tol + tol.rel_tol * np.abs(chi).sum(axis=0))
+    miss = np.abs(total - chi.sum(axis=0)) / allowance
+    worst = int(np.argmax(miss))
+    if miss[worst] > 1.0:
+        raise DomainError(
+            f"survival amplitude and its component sum differ by "
+            f"{miss[worst]:.3g} times the allowance {allowance[worst]:.3g} "
+            f"at t = {times[worst]:.12g}")
+
+
 def _tdot_series(config):
     """The T-dot total amplitude, its per-state components (label, values)
     on request, the other named series its options ask for and its real
@@ -289,6 +303,8 @@ def _tdot_series(config):
     components = []
     if config.options["components"]:
         components = list(zip(_component_labels(spectrum), chi))
+        if theta is None:
+            _check_component_sum(total, chi, times, tol)
     series = []
     if config.options["isolated_residue"]:
         series.append(("xi_res",

@@ -49,7 +49,7 @@ class NoResonance(ResdynError):
 
 
 class Underflow(ResdynError):
-    """A denominator underflowed below representable magnitude."""
+    """Computed amplitudes left the floating-point range (a non-finite value)."""
 
 
 class NoSignChange(ResdynError):

@@ -171,18 +171,6 @@ def f_lambda(params, lam):
         - params.g ** 2
 
 
-def f_lambda_prime(params, lam):
-    """d f / d lambda, analytically."""
-    lam = complex(lam)
-    if lam == 0:
-        raise DomainError("lambda = 0 is a pole of f")
-    b = params.b
-    de = -b * (1.0 - 1.0 / lam ** 2)
-    u = -b * (lam + 1.0 / lam) - params.eps2 + lam * params.lead_coupling
-    h = -b * (lam + 1.0 / lam) - params.eps1
-    return de * u + h * (de + params.lead_coupling)
-
-
 def p4_coefficients(params):
     """Ascending coefficients of P4(lambda) = lambda^2 f(lambda) / b^2."""
     b, e1, e2, g = params.b, params.eps1, params.eps2, params.g
@@ -218,8 +206,12 @@ def discrete_spectrum(params):
     where one root grows without bound as the leading coefficient vanishes.
     Weights follow from residues of the resolvent matrix elements:
     W_n = 1/(h(lam_n) f'(lam_n)), w_n = b g^2 W_n / lam_n, and the d1-d2
-    channel q_n = -g b/(lam_n f'(lam_n)).  Near-degenerate root pairs and
-    the quartic-to-cubic degeneracy T = b are flagged, not fatal.
+    channel q_n = -g b/(lam_n f'(lam_n)).  Since f = b^2 P/lam^2 with
+    P = c_lead prod_m (lam - lam_m), f'(lam_n) = b^2 c_lead prod_{m != n}
+    (lam_n - lam_m) / lam_n^2: the root differences keep their digits up to
+    the exceptional point, where f' from the coefficients cancels.  A real
+    root's weights are exactly real.  Near-degenerate root pairs and the
+    quartic-to-cubic degeneracy T = b are flagged, not fatal.
     """
     if params.g == 0:
         raise DomainError("g = 0 decouples d1; residue weights are undefined")
@@ -244,10 +236,14 @@ def discrete_spectrum(params):
                 break
 
     b, g = params.b, params.g
+    c_lead = coeffs[len(roots)]
     states = []
-    for lam in roots:
+    for n, lam in enumerate(roots):
         energy = -b * (lam + 1.0 / lam)
-        fp = f_lambda_prime(params, lam)
+        fp = b * b * c_lead * complex(np.prod(
+            [lam - other for m, other in enumerate(roots) if m != n])) / lam ** 2
+        if lam.imag == 0:
+            fp = fp.real
         w_big = 1.0 / (h_lambda(params, lam) * fp)
         w = b * g * g * w_big / lam
         dyad = (1.0 / lam - lam) * w
@@ -444,16 +440,16 @@ def amplitude_grid(spectrum, times, weights=None, tol=DEFAULT_TOLERANCES):
     """<d1|chi_n(t)> for every state n and grid time t, shape (n_states, n_times).
 
     ``weights`` replaces the residue weights w_n (theta superpositions pass
-    ``theta_weights``).  The Bessel integrals depend only on E_n, so each is
-    computed once for the whole grid, weights applied afterwards:
+    ``theta_weights``).  A state's amplitude is its weight times
+    e^{-iEt}/lam - i F_E(t) for t >= 0; the Bessel integrals depend only on
+    E, so they are computed once per distinct energy on the distinct |t|,
+    and time reversal gives the rest (H and |d1> are real):
 
-    * bound, anti-bound, and resonant states at t >= 0 take the closed form
-      weight * (e^{-iEt}/lam - i F_E(t)); negative times of real-energy
-      states use F_E(-s) = -F_{-E}(s);
+    * a real-energy state at t < 0 is the conjugate of its value at |t|;
     * a resonant state at t < 0 is -i weight U_E(|t|), from the decaying tail;
-    * anti-resonant states are conjugate reflections of their resonant
-      partner (conjugated lam and E, time -t), so R and AR share one set of
-      E_R integrals.
+    * an anti-resonant state at t is the conjugate of its resonant partner
+      (conjugated lam and E) at -t, so R and AR share one forward and one
+      tail pass.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)):
@@ -463,54 +459,39 @@ def amplitude_grid(spectrum, times, weights=None, tol=DEFAULT_TOLERANCES):
                        else weights, dtype=complex)
     if weights.shape != (len(states),):
         raise DomainError("need one weight per state")
+    s, inverse = np.unique(np.abs(times), return_inverse=True)
+    pos = s[s > 0]
+    b = spectrum.params.b
 
-    plans = []
-    needs = {}  # (kind, E) -> [s arrays, state, sign mapping s to the state's t]
-    for st in states:
+    integrals = {}  # E -> (F_E on s, U_E on s with 0 at s = 0, or None)
+
+    def bessel_integrals(st, energy):
+        if energy not in integrals:
+            what = (f"integral of the {st.state_class.value} state "
+                    f"(E = {st.energy:.9g})")
+            with _quadrature_context("forward " + what, 0.0,
+                                     s.max(initial=0.0), tol):
+                forward = _forward_grid(b, energy, s, tol)
+            tail = None
+            if st.state_class in (StateClass.RESONANT,
+                                  StateClass.ANTI_RESONANT) and len(pos):
+                with _quadrature_context("tail " + what, pos[0], pos[-1], tol):
+                    tail = np.concatenate((np.zeros(len(s) - len(pos)),
+                                           _tail_grid(b, energy, pos, tol)))
+            integrals[energy] = forward, tail
+        return integrals[energy]
+
+    out = np.empty((len(states), len(times)), dtype=complex)
+    for n, st in enumerate(states):
         mirror = st.state_class is StateClass.ANTI_RESONANT
         lam, energy = (np.conj(st.lam), np.conj(st.energy)) if mirror \
             else (st.lam, st.energy)
-        t = -times if mirror else times
-        pos = t >= 0
-        resonant = st.state_class in (StateClass.RESONANT,
-                                      StateClass.ANTI_RESONANT)
-        neg_key = ("tail", energy) if resonant else ("forward", -energy)
-        for key, sel, sign in ((("forward", energy), pos, 1.0),
-                               (neg_key, ~pos, -1.0)):
-            if sel.any():
-                need = needs.setdefault(key, [[], st, -sign if mirror else sign])
-                need[0].append(t[sel])
-        plans.append((mirror, lam, energy, t, pos, neg_key))
-
-    grids = {}
-    for key, (chunks, st, sign) in needs.items():
-        kind, energy = key
-        s = np.unique(np.abs(np.concatenate(chunks)))
-        engine = _tail_grid if kind == "tail" else _forward_grid
-        lo, hi = sorted((sign * (s[0] if kind == "tail" else 0.0),
-                         sign * s[-1]))
-        with _quadrature_context(
-                f"{kind} integral of the {st.state_class.value} state "
-                f"(E = {st.energy:.9g})", lo, hi, tol):
-            grids[key] = (s, engine(spectrum.params.b, energy, s, tol))
-
-    def lookup(key, t):
-        s, values = grids[key]
-        return values[np.searchsorted(s, np.abs(t))]
-
-    out = np.empty((len(states), len(times)), dtype=complex)
-    for n, (mirror, lam, energy, t, pos, neg_key) in enumerate(plans):
-        unit = np.empty(len(times), dtype=complex)
-        tp, tn = t[pos], t[~pos]
-        if len(tp):
-            unit[pos] = (np.exp(-1j * energy * tp) / lam
-                         - 1j * lookup(("forward", energy), tp))
-        if len(tn):
-            if neg_key[0] == "tail":
-                unit[~pos] = -1j * lookup(neg_key, tn)
-            else:
-                unit[~pos] = (np.exp(-1j * energy * tn) / lam
-                              + 1j * lookup(neg_key, tn))
+        forward, tail = bessel_integrals(st, energy)
+        # the (mirrored) state's unit amplitude at +|t| and at -|t|
+        plus = np.exp(-1j * energy * s) / lam - 1j * forward
+        minus = np.conj(plus) if tail is None else -1j * tail
+        unit = np.where((times > 0) if mirror else (times < 0),
+                        minus[inverse], plus[inverse])
         out[n] = weights[n] * (np.conj(unit) if mirror else unit)
     if not np.all(np.isfinite(out)):
         raise Underflow("amplitudes exceed the representable dynamic range")

@@ -21,6 +21,8 @@ from resdyn.cli import main
 from resdyn.errors import DomainError
 from resdyn.lattice import (
     DEFAULT_TOLERANCES,
+    DiscreteState,
+    Spectrum,
     StateClass,
     TDotParams,
     ThetaState,
@@ -126,6 +128,22 @@ def test_value_does_not_depend_on_grid_shape(fig9_spectrum):
     for i in (0, 37, 200, 233, 400):
         alone = amplitude_grid(fig9_spectrum, [grid[i]])[:, 0]
         assert np.max(np.abs(values[:, i] - alone)) <= 1e-12, f"t={grid[i]}"
+
+
+def test_states_of_equal_energy_keep_their_own_lambda():
+    # lam and 1/lam share E = -b(lam + 1/lam): the Bessel integrals may be
+    # shared between the two states, the e^{-iEt}/lam term may not
+    params = TDotParams(1.0, 0.2, 0.0, 0.4, 1.0, 1.0)
+    states = (DiscreteState(0.5 + 0j, -2.5 + 0j, StateClass.BOUND,
+                            0.3 + 0j, 0j, 0j),
+              DiscreteState(2.0 + 0j, -2.5 + 0j, StateClass.ANTI_BOUND,
+                            -0.7 + 0j, 0j, 0j))
+    times = np.linspace(-3.0, 6.0, 37)
+    both = amplitude_grid(Spectrum(states, params), times)
+    for n, state in enumerate(states):
+        alone = amplitude_grid(Spectrum((state,), params), times)[0]
+        assert np.array_equal(both[n], alone), state.state_class
+    assert np.max(np.abs(both[0] / 0.3 - both[1] / -0.7)) > 1.0
 
 
 def test_theta_total_is_sum_of_components(fig9_spectrum):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from resdyn import cli
 from resdyn import lattice as lat
 from resdyn.cli import RECIPE_NAMES, _csv_document, load_config, main, recipe_text
 from resdyn.errors import ConfigError, DegenerateLeadCoupling
@@ -425,6 +426,40 @@ components = true
     assert err["error"] == "DomainError"
     assert "a_R" in err["message"] and "t = -2.05" in err["message"]
     assert not out.exists()
+
+
+def test_component_sum_mismatch_exits_3_naming_the_worst_time(
+        tmp_path, capsys, monkeypatch):
+    amplitude_grid = lat.amplitude_grid
+    seen = {}
+
+    def off(spectrum, times, weights=None, tol=lat.DEFAULT_TOLERANCES):
+        chi = amplitude_grid(spectrum, times, weights, tol)
+        n = spectrum.states.index(spectrum.resonant())
+        miss = 1e-6 * np.abs(chi[n]) / (tol.abs_tol
+                                        + tol.rel_tol * np.abs(chi).sum(axis=0))
+        seen["t"] = times[np.argmax(miss)]
+        chi[n] *= 1.0 + 1e-6
+        return chi
+
+    monkeypatch.setattr(lat, "amplitude_grid", off)
+    out = tmp_path / "o.csv"
+    assert main(["survival", "--config", _fig9_on(-4.0, 8.0, tmp_path),
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "component sum" in err["message"]
+    assert f"t = {seen['t']:.12g}" in err["message"]
+    assert not out.exists()
+
+
+def test_component_sum_check_leaves_fig5_unchanged(tmp_path, monkeypatch):
+    checked = tmp_path / "checked.csv"
+    assert main(["survival", "--recipe", "fig5", "--out", str(checked)]) == 0
+    monkeypatch.setattr(cli, "_check_component_sum", lambda *args: None)
+    unchecked = tmp_path / "unchecked.csv"
+    assert main(["survival", "--recipe", "fig5", "--out", str(unchecked)]) == 0
+    assert checked.read_bytes() == unchecked.read_bytes()
 
 
 def _fig9_on(t_min, t_max, tmp_path):

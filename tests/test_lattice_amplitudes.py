@@ -7,6 +7,7 @@ from resdyn.lattice import (
     TDotParams,
     ThetaState,
     Tolerances,
+    amplitude_grid,
     component_chi,
     discrete_spectrum,
     ep_locate,
@@ -85,14 +86,13 @@ def test_folded_contour_with_a_bound_root_next_to_the_band_edge(
 
 
 def test_folded_contour_at_the_exceptional_point():
+    # the weights come from root differences, so they stay exact up to the
+    # double root; EP - 1e-9 is on the anti-bound side
     star = ep_locate(FIG9_PARAMS, -3.0, 0.0)
-    for eps1 in (star - 1e-4, star + 1e-4):
-        _, err = _fold_error(TDotParams(1.0, eps1, 0.0, 0.4, 1.0, 1.0))
+    for eps1 in (star - 1e-4, star + 1e-4, star, -2.3475280645757373):
+        spectrum, err = _fold_error(TDotParams(1.0, eps1, 0.0, 0.4, 1.0, 1.0))
         assert err < 1e-10, eps1
-    # at the EP itself the weights are only as exact as the double root,
-    # and the contour is as exact as its weights
-    spectrum, err = _fold_error(TDotParams(1.0, star, 0.0, 0.4, 1.0, 1.0))
-    assert err < spectrum.completeness_defect() + 1e-10
+        assert spectrum.completeness_defect() <= 1e-9, eps1
 
 
 def test_folded_contour_on_a_sweep_operation():
@@ -112,11 +112,12 @@ def test_components_at_zero_equal_w_over_lambda(fig9_spectrum):
 
 
 def test_component_sum_matches_direct_contour(fig9_spectrum):
-    for t in np.linspace(-10.0, 10.0, 21):
-        direct = survival_direct(FIG9_PARAMS, float(t), spectrum=fig9_spectrum)
-        total = sum(component_chi(fig9_spectrum, n, float(t))
-                    for n in range(len(fig9_spectrum.states)))
-        assert abs(direct - total) < 1e-6, f"t={t}"
+    # fig9's asymmetric grid: each t < 0 shares its |t| with a t > 0, and
+    # only t in (4, 8] has no mirror
+    times = np.linspace(-4.0, 8.0, 481)
+    direct = survival_direct(FIG9_PARAMS, times, spectrum=fig9_spectrum)
+    total = amplitude_grid(fig9_spectrum, times).sum(axis=0)
+    assert np.max(np.abs(direct - total)) < 1e-9
 
 
 def test_anti_resonant_is_conjugate_reflection(fig9_spectrum):

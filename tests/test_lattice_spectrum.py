@@ -21,7 +21,6 @@ from resdyn.lattice import (
     ep_discriminant,
     ep_locate,
     f_lambda,
-    f_lambda_prime,
     h_lambda,
     p4_coefficients,
 )
@@ -89,15 +88,6 @@ def test_p4_reproduces_f():
         p4 = sum(c * lam ** k for k, c in enumerate(coeffs))
         assert abs(FIG9_PARAMS.b ** 2 * p4 / lam ** 2
                    - f_lambda(FIG9_PARAMS, lam)) < 1e-10
-
-
-def test_f_prime_matches_finite_differences():
-    rng = np.random.default_rng(12)
-    h = 1e-6
-    for _ in range(20):
-        lam = complex(rng.uniform(0.3, 2), rng.uniform(-1, 1))
-        fd = (f_lambda(FIG9_PARAMS, lam + h) - f_lambda(FIG9_PARAMS, lam - h)) / (2 * h)
-        assert abs(fd - f_lambda_prime(FIG9_PARAMS, lam)) < 1e-6
 
 
 def test_fig9_golden_spectrum(fig9_spectrum):
@@ -301,6 +291,9 @@ _GENERIC_BOX = st.builds(
                     0.2715906283706809, 0.7397139532518964, 0.6899239019843206))
 @example(TDotParams(1.0, -0.4339297966245339, -0.8164524245826343,
                     1.0645380568627532, 0.740203440278933, 0.6611505672772962))
+# 1e-9 below the fig9 EP, on the anti-bound side, where residues from the
+# expanded f' lost digits
+@example(TDotParams(1.0, -2.3475280645757373, 0.0, 0.4, 1.0, 1.0))
 def test_spectrum_exists_across_the_domain(params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -310,11 +303,7 @@ def test_spectrum_exists_across_the_domain(params):
     for state in s.states:
         energy = -params.b * (state.lam + 1.0 / state.lam)
         assert abs(state.energy - energy) <= 1e-12 * max(1.0, abs(energy))
-    gap = min(abs(lam - other) for i, lam in enumerate(lams)
-              for other in lams[i + 1:])
-    if gap >= 1e-2:
-        # closer to the EP the defect reflects the conditioning (3e-7 seen)
-        assert s.completeness_defect() <= 1e-8
+    assert s.completeness_defect() <= 1e-8
     for lam in lams:
         assert lam.imag == 0 or lam.conjugate() in lams
 
