@@ -66,6 +66,25 @@ def _get(cp, section, key, cast, default=None, required=False):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
+def _theta_state(raw):
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(raw)
+    return lat.ThetaState(value)
+
+
+def _parse_theta(raw):
+    raw = raw.strip()
+    return None if raw == "none" else _theta_state(raw)
+
+
+def _parse_thetas(raw):
+    """{token: ThetaState} for a comma-separated list of angles; the tokens,
+    as written, name the oracle report's keys."""
+    return {tok: _theta_state(tok)
+            for tok in (s.strip() for s in raw.split(",")) if tok}
+
+
 def _parse_bool(raw):
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -151,10 +170,11 @@ def load_config(text):
         "isolated_residue": _get(cp, "survival", "isolated_residue", _parse_bool,
                                  default=False),
         "short_time": _get(cp, "survival", "short_time", _parse_bool, default=False),
-        "theta": _get(cp, "survival", "theta", str, default="none").strip(),
+        "theta": _get(cp, "survival", "theta", _parse_theta, default=None),
         "oracle_n_sites": _get(cp, "oracle", "n_sites", int, default=800),
         "oracle_tolerance": _get(cp, "oracle", "tolerance", float, default=1e-4),
-        "oracle_thetas": _get(cp, "oracle", "thetas", str, default="").strip(),
+        "oracle_thetas": _get(cp, "oracle", "thetas", _parse_thetas,
+                              default={}),
         "ep_lo": _get(cp, "ep", "eps1_lo", float, default=None),
         "ep_hi": _get(cp, "ep", "eps1_hi", float, default=None),
     }
@@ -289,8 +309,7 @@ def _tdot_series(config):
     columns."""
     spectrum = lat.discrete_spectrum(config.params)
     times, tol = config.times, config.tolerances
-    theta_raw = config.options["theta"]
-    theta = None if theta_raw == "none" else lat.ThetaState(float(theta_raw))
+    theta = config.options["theta"]
     weights = None if theta is None else lat.theta_weights(spectrum, theta)
     chi = ()
     if theta is not None or config.options["components"]:
@@ -449,16 +468,14 @@ def _lattice_deviations(config):
     direct = lat.survival_direct(config.params, times, tol=config.tolerances,
                                  spectrum=spectrum)
     deviations = {"d1": float(np.max(np.abs(direct - a11)))}
-    thetas = [tok for tok in (s.strip() for s in
-                              config.options["oracle_thetas"].split(",")) if tok]
+    thetas = config.options["oracle_thetas"]
     if thetas:
         # the weights only scale each state's row, so one grid at unit
         # weights serves every theta
         units = lat.amplitude_grid(spectrum, times,
                                    np.ones(len(spectrum.states)),
                                    tol=config.tolerances)
-    for tok in thetas:
-        theta = lat.ThetaState(float(tok))
+    for tok, theta in thetas.items():
         exact = (a11 + np.exp(1j * theta.theta) * a21) / np.sqrt(2.0)
         total = sum(lat.theta_weights(spectrum, theta)[:, None] * units)
         deviations[f"theta_{tok}"] = float(np.max(np.abs(total - exact)))

@@ -73,7 +73,7 @@ class NearDegenerateSpectrum(ResdynWarning):
 
 
 class DegenerateLeadCoupling(ResdynWarning):
-    """Lead coupling makes the quartic degenerate to a cubic (3 states)."""
+    """Lead coupling lowers the quartic's degree, so fewer than 4 states."""
 
 
 class AssumptionViolated(ResdynWarning):

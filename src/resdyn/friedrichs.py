@@ -281,17 +281,13 @@ def _tail_rotated(f_of_e, e0, times, tol, what):
 
 
 def _cut_main_breakpoints(u0, t, special_u):
-    pts = {0.0, u0}
-    pts.update(u for u in special_u if 0.0 < u < u0)
+    pts = [0.0, u0] + [u for u in special_u if 0.0 < u < u0]
     if t != 0.0:
-        k = 1
-        while True:
-            u = np.sqrt(k * np.pi / abs(t))
-            if u >= u0:
-                break
-            pts.add(u)
-            k += 1
-    out = np.array(sorted(pts))
+        # the chirp's half-period points sqrt(k pi/|t|) below u0
+        u = np.sqrt(np.arange(1, int(u0 * u0 * abs(t) / np.pi) + 2)
+                    * np.pi / abs(t))
+        pts = np.concatenate((pts, u[u < u0]))
+    out = np.unique(pts)
     return out[np.concatenate(([True], np.diff(out) > 1e-13 * u0))]
 
 

@@ -211,18 +211,22 @@ def discrete_spectrum(params):
     (lam_n - lam_m) / lam_n^2: the root differences keep their digits up to
     the exceptional point, where f' from the coefficients cancels.  A real
     root's weights are exactly real.  Near-degenerate root pairs and the
-    quartic-to-cubic degeneracy T = b are flagged, not fatal.
+    degeneracy T = b are flagged, not fatal; there every leading coefficient
+    at or below 1e-12 of the largest is dropped, each with the root that
+    grows without bound as it vanishes.
     """
     if params.g == 0:
         raise DomainError("g = 0 decouples d1; residue weights are undefined")
     coeffs = p4_coefficients(params)
     scale = max(abs(c) for c in coeffs)
     flags = []
-    if abs(coeffs[4]) <= 1e-12 * scale:
+    while abs(coeffs[-1]) <= 1e-12 * scale:  # c0 = 1 ends the loop
+        coeffs = coeffs[:-1]
+    if len(coeffs) < 5:
+        degree = len(coeffs) - 1
         flags.append("degenerate-lead-coupling")
-        warnings.warn("lead coupling makes the quartic a cubic; 3 states",
-                      DegenerateLeadCoupling)
-        coeffs = coeffs[:4]
+        warnings.warn(f"lead coupling lowers the quartic to degree {degree}; "
+                      f"{degree} states", DegenerateLeadCoupling)
     roots = poly_roots(coeffs)
 
     for i in range(len(roots)):

@@ -59,8 +59,7 @@ def test_fmt_is_twelve_digits_and_normalizes_zero():
 def test_fig6b_total_renders_by_the_cell_rule(tmp_path):
     config = load_config(recipe_text("fig6b"))
     spectrum = lat.discrete_spectrum(config.params)
-    weights = lat.theta_weights(spectrum,
-                                lat.ThetaState(float(config.options["theta"])))
+    weights = lat.theta_weights(spectrum, config.options["theta"])
     total = sum(lat.amplitude_grid(spectrum, config.times, weights,
                                    tol=config.tolerances))
     # |A|^2 from Python's abs per value: np.abs on the whole array is one ulp
@@ -115,6 +114,23 @@ def test_exit_code_2_on_malformed_config(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("survival", "survival", "theta", "pi/2"),
+    ("survival", "survival", "theta", "nan"),
+    ("oracle-check", "oracle", "thetas", "0.0, half-pi"),
+    ("oracle-check", "oracle", "thetas", "0.0, inf"),
+])
+def test_exit_code_2_on_malformed_theta(tmp_path, capsys, command, section,
+                                        key, value):
+    cfg = BASE_TDOT.format(command=command, eps1="0.2",
+                           extra=f"[{section}]\n{key} = {value}")
+    rc = main([command, "--config", write_cfg(tmp_path, cfg)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "theta" in err["message"]
 
 
 def test_exit_code_2_on_missing_file(capsys):

@@ -12,7 +12,11 @@ from resdyn.friedrichs import (
     green_function,
     survival_total,
 )
-from resdyn.friedrichs import _eta_negative_axis, _eta_prime_negative_axis
+from resdyn.friedrichs import (
+    _cut_main_breakpoints,
+    _eta_negative_axis,
+    _eta_prime_negative_axis,
+)
 from resdyn.lattice import Tolerances
 
 from _oracles import friedrichs_component_quad
@@ -188,6 +192,15 @@ def test_survival_probability_even(fig11_poles):
 
 
 def test_cut_equals_component_sum(fig11_poles):
+    # the main segment's panel edges: 0, u0, the special points inside and
+    # the chirp's half-period points sqrt(k pi/|t|) below u0, one by one
+    u0, t = np.sqrt(500.0), 50.0
+    k, edges = 1, {0.0, u0, 0.3, 1.2}
+    while np.sqrt(k * np.pi / t) < u0:
+        edges.add(np.sqrt(k * np.pi / t))
+        k += 1
+    assert np.array_equal(_cut_main_breakpoints(u0, -t, (0.3, 1.2, 30.0)),
+                          sorted(edges))
     for t in (-50.0, -20.0, -5.0, -0.5, 0.5, 2.0, 10.0, 50.0):
         total = sum(a_component(FIG11_PARAMS, n, t, poles=fig11_poles)
                     for n in ("B", "R", "AR"))

@@ -70,6 +70,23 @@ def test_folded_contour_on_a_three_state_spectrum():
     assert err < 1e-12
 
 
+@pytest.mark.parametrize("eps1", (1e-14, 2.2e-309))
+def test_folded_contour_where_the_cubic_degenerates_too(eps1):
+    # T = b(1 - 9e-13) with eps2 = 0: c3 = eps1 (b - T)/b^2 is 1e-26 or
+    # subnormal, so the cubic's leading coefficient goes as well.  The
+    # subnormal eps1 on the lattice's diagonal overflows a division in
+    # scipy's one-norm estimate for expm_multiply, hence the errstate; the
+    # bounds below hold all the same
+    t2 = np.sqrt((1.0 - 9e-13) / 2.0)
+    params = TDotParams(b=1.0, eps1=eps1, eps2=0.0, g=0.4, t2l=t2, t2r=t2)
+    with pytest.warns(DegenerateLeadCoupling, match="degree 2"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        spectrum, err = _fold_error(params)
+    assert len(spectrum.states) == 2
+    assert spectrum.completeness_defect() <= 1e-8
+    assert err <= 1e-8
+
+
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 @pytest.mark.parametrize("eps1,distance", zip(BAND_EDGE_EPS1, (1e-3, 1e-5, 1e-7)))
 def test_folded_contour_with_a_bound_root_next_to_the_band_edge(

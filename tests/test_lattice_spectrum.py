@@ -261,8 +261,8 @@ def _backward_errors(coeffs, lams):
 
 
 def _quartic_of(spectrum):
-    coeffs = p4_coefficients(spectrum.params)
-    return coeffs[:4] if "degenerate-lead-coupling" in spectrum.flags else coeffs
+    # the coefficients that survive the spectrum's degree drop
+    return p4_coefficients(spectrum.params)[:len(spectrum.states) + 1]
 
 
 def _near_lead_degeneracy(b, delta, angle, eps1, eps2, g):
