@@ -213,7 +213,9 @@ def discrete_spectrum(params):
     root's weights are exactly real.  Near-degenerate root pairs and the
     degeneracy T = b are flagged, not fatal; there every leading coefficient
     at or below 1e-12 of the largest is dropped, each with the root that
-    grows without bound as it vanishes.
+    grows without bound as it vanishes.  With no coefficient left but c0
+    (next to b = g = T, eps1 = eps2 = 0) no state remains, and NoResonance
+    is raised.
     """
     if params.g == 0:
         raise DomainError("g = 0 decouples d1; residue weights are undefined")
@@ -222,6 +224,10 @@ def discrete_spectrum(params):
     flags = []
     while abs(coeffs[-1]) <= 1e-12 * scale:  # c0 = 1 ends the loop
         coeffs = coeffs[:-1]
+    if len(coeffs) == 1:
+        # the dropped roots would carry all of sum_n w_n/lam_n = 1
+        raise NoResonance("the quartic is constant to 1e-12 (d1, d2 and the "
+                          "leads form a uniform chain): no discrete state")
     if len(coeffs) < 5:
         degree = len(coeffs) - 1
         flags.append("degenerate-lead-coupling")

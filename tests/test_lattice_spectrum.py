@@ -10,6 +10,7 @@ from resdyn.errors import (
     DegenerateLeadCoupling,
     DomainError,
     NearDegenerateSpectrum,
+    NoResonance,
     NoSignChange,
     Unclassifiable,
 )
@@ -144,6 +145,15 @@ def test_degenerate_lead_coupling_gives_cubic():
     assert len(s.states) == 3
     assert "degenerate-lead-coupling" in s.flags
     assert s.completeness_defect() < 1e-8
+
+
+@pytest.mark.parametrize("eps1", (0.0, 1e-13, 1e-300))
+def test_uniform_chain_limit_has_no_discrete_state(eps1):
+    # b = g = T with eps1 = eps2 = 0 makes the quartic the constant 1: every
+    # root is at infinity, and those roots carry all of sum_n w_n/lam_n
+    p = TDotParams(b=1.0, eps1=eps1, eps2=0.0, g=1.0, t2l=1.0, t2r=0.0)
+    with pytest.raises(NoResonance, match="uniform chain"):
+        discrete_spectrum(p)
 
 
 def test_near_degenerate_flag_close_to_ep():
