@@ -313,7 +313,7 @@ def _tdot_series(config):
     weights = None if theta is None else lat.theta_weights(spectrum, theta)
     chi = ()
     if theta is not None or config.options["components"]:
-        chi = lat.amplitude_grid(spectrum, times, weights, tol=tol)
+        chi = lat.amplitude_grid(spectrum, times, weights)
     if theta is None:
         total = lat.survival_direct(config.params, times, tol=tol,
                                     spectrum=spectrum)
@@ -429,7 +429,7 @@ def cmd_ratio(config, args):
                 if ep is not None else "")
         raise NoResonance(
             f"no resonant pair at eps1 = {config.params.eps1:g}{hint}")
-    ratios = lat.ratio_r(spectrum, config.times, tol=config.tolerances)
+    ratios = lat.ratio_r(spectrum, config.times)
     columns = {"t": config.times, "r": ratios, "log10_r": np.log10(ratios)}
     _write_text(args.out, _csv_document(columns, ("t",)))
     sidecar = _zeno_document(spectrum)
@@ -473,8 +473,7 @@ def _lattice_deviations(config):
         # the weights only scale each state's row, so one grid at unit
         # weights serves every theta
         units = lat.amplitude_grid(spectrum, times,
-                                   np.ones(len(spectrum.states)),
-                                   tol=config.tolerances)
+                                   np.ones(len(spectrum.states)))
     for tok, theta in thetas.items():
         exact = (a11 + np.exp(1j * theta.theta) * a21) / np.sqrt(2.0)
         total = sum(lat.theta_weights(spectrum, theta)[:, None] * units)

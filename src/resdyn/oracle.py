@@ -95,14 +95,18 @@ def _coefficients(alphas, order):
     for even k and to i c[:, k] for odd k, one row per alpha >= 0.
 
     By Jacobi-Anger, cos(alpha cos x) - sin(alpha cos x) is the cosine
-    series sum_k c[:, k] cos(k x), so one real FFT on 2^m >= 2(order + 1)
-    points gives every coefficient; the aliases it folds in are J_k beyond
-    the order, which _chebyshev_order keeps below 1e-17.
+    series sum_k c[:, k] cos(k x), so one real FFT per alpha on
+    2^m >= 2(order + 1) points gives every coefficient; the aliases it folds
+    in are J_k beyond the order, which _chebyshev_order keeps below 1e-17.
     """
     m = 1 << (2 * order + 1).bit_length()
-    arg = np.outer(alphas, np.cos(2.0 * np.pi * np.arange(m) / m))
-    series = np.fft.rfft(np.cos(arg) - np.sin(arg), axis=1).real[:, :order + 1]
-    return np.where(np.arange(order + 1) == 0, 1.0, 2.0) / m * series
+    grid = np.cos(2.0 * np.pi * np.arange(m) / m)
+    series = np.empty((len(alphas), order + 1))
+    for row, alpha in zip(series, alphas):  # one row at a time keeps the peak
+        arg = alpha * grid                  # at a few arrays of length m
+        row[:] = np.fft.rfft(np.cos(arg) - np.sin(arg)).real[:order + 1]
+    series *= np.where(np.arange(order + 1) == 0, 1.0, 2.0) / m
+    return series
 
 
 def propagate(lattice, times):

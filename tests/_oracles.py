@@ -1,7 +1,8 @@
 """Independent reference computations the tests check production code against.
 
 Everything here deliberately avoids the code paths it verifies: the series
-oracle sums the defining power series term by term, the contour oracles
+oracle sums the defining power series term by term, the Bessel transforms
+integrate scipy's J1 with scipy's quad, the contour oracles
 quadrature the defining integrals directly, the root tracker continues
 an eigenvalue branch step by step instead of using the closed forms, the
 Friedrichs branch search picks the erfc square-root branches by comparison
@@ -13,6 +14,7 @@ Chebyshev expansion.
 
 import mpmath as mp
 import numpy as np
+from scipy import integrate, special
 from scipy.sparse.linalg import expm_multiply
 
 from resdyn.friedrichs import _cut_main_breakpoints, _fm7_value, _tail_rotated
@@ -29,6 +31,50 @@ def j1_power_series(x, terms=80):
         total += term
         term = -term * half * half / ((m + 1) * (m + 2))
     return total
+
+
+def j1_over_t(b, t):
+    """J1(2bt)/t at a scalar t from scipy's J1, with its limit b at t = 0."""
+    return b if t == 0.0 else special.j1(2.0 * b * t) / t
+
+
+def cquad(f, lo, hi):
+    """integral_lo^hi of a complex scalar function by scipy's quad, the real
+    and imaginary parts apart (hi may be inf)."""
+    def part(fn):
+        return integrate.quad(lambda u: fn(f(u)), lo, hi, limit=4000,
+                              epsabs=1e-14, epsrel=1e-12)[0]
+    return part(np.real) + 1j * part(np.imag)
+
+
+def j1_transform(b, energy):
+    """integral_0^inf e^{-iEt} J1(2bt)/t dt by scipy's quad and J1.
+
+    For Im E < 0 the real axis is cut where the envelope e^{Im E t} is
+    below 1e-12 e^-8.  For real E outside the band [-2b, 2b] the real axis
+    runs to T = 150/b and the rest is the ray from T into the half-plane
+    where e^{-iEt} J1(2bt) decays as e^{-(|E| - 2b)|Im t|} (up for E < -2b,
+    down for E > 2b), with J1 of complex argument from the scaled ``jve``.
+    """
+    energy = complex(energy)
+
+    def real_axis(u):
+        return np.exp(-1j * energy * u) * j1_over_t(b, u)
+
+    if energy.imag < 0:
+        return cquad(real_axis, 0.0, (np.log(1e12) + 8.0) / -energy.imag)
+    if abs(energy.imag) > 0 or abs(energy.real) <= 2.0 * b:
+        raise ValueError("need Im E < 0, or a real E outside the band")
+    t_far = 150.0 / b
+    up = -np.sign(energy.real)
+
+    def ray(y):
+        z = t_far + 1j * up * y
+        # jve(1, w) = J1(w) e^{-|Im w|}, and |Im 2bz| = 2by
+        return (1j * up * special.jve(1, 2.0 * b * z)
+                * np.exp(2.0 * b * y - 1j * energy.real * z) / z)
+
+    return cquad(real_axis, 0.0, t_far) + cquad(ray, 0.0, np.inf)
 
 
 def expm_rows(lattice, times):

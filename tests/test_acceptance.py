@@ -8,7 +8,6 @@ from resdyn import cli
 from resdyn import friedrichs as fm
 from resdyn import lattice as lat
 from resdyn import oracle as orc
-from resdyn.kernel import piecewise_quad
 
 from conftest import (
     ABS_LAM_R_REF,
@@ -18,7 +17,12 @@ from conftest import (
     FM_E_R_REF,
     random_tdot_params,
 )
-from _oracles import expm_rows, inside_lambda_root, track_lambda_root
+from _oracles import (
+    expm_rows,
+    inside_lambda_root,
+    j1_transform,
+    track_lambda_root,
+)
 
 TIGHT = lat.Tolerances(abs_tol=1e-12, rel_tol=1e-11)
 
@@ -172,27 +176,14 @@ def test_c09_analytic_identities(fig9_spectrum, fig11_poles):
     # first-sheet closed form by quadrature where the integral converges,
     # then continue the inside root across the band cut by tracking
     e_up = np.conj(res.energy)
-
-    def integrand(tp):
-        return np.exp(1j * e_up * tp) * lat._j1_over_t(b, tp)
-
-    t_cut = (np.log(1e12) + 8.0) / e_up.imag
-    direct = piecewise_quad(integrand,
-                            lat._panel_edges(np.array([0.0, t_cut]), 0.8),
-                            abs_tol=1e-11, rel_tol=1e-10).value
+    direct = j1_transform(b, -e_up)  # the e^{+iEt'} transform
     assert abs(direct - (-1j) * inside_lambda_root(b, e_up)) <= 1e-7
     lam_tracked = track_lambda_root(b, e_up, res.energy,
                                     inside_lambda_root(b, e_up))
     assert abs((-1j) * lam_tracked - (-1j) * res.lam) <= 1e-6
     # bound-state version converges classically
     for s in fig9_spectrum.by_class(lat.StateClass.BOUND):
-        def bound_integrand(tp, e=s.energy):
-            return np.exp(-1j * e * tp) * lat._j1_over_t(b, tp)
-
-        head = piecewise_quad(bound_integrand,
-                              lat._panel_edges(np.array([0.0, 150.0]), 0.7),
-                              abs_tol=1e-12, rel_tol=1e-11).value
-        value = head + lat._bessel_tail_analytic(b, s.energy + 0j, 150.0)
+        value = j1_transform(b, s.energy)
         assert abs(value - 1j * s.lam) <= 1e-6
     # Friedrichs pointwise integrand identity
     es = np.linspace(1e-3, 10.0, 100)

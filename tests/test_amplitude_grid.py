@@ -1,8 +1,8 @@
-"""The whole-grid amplitude engine against independent references.
+"""The whole-grid amplitude series against independent references.
 
 References are the defining Bessel integrals evaluated with scipy
-(``scipy.special.j1`` and ``scipy.integrate.quad``), not resdyn's own
-quadrature or J1.  For a state with weight w:
+(``scipy.special.j1`` and ``scipy.integrate.quad``, in ``_oracles``), not
+resdyn's own series or Bessel table.  For a state with weight w:
 
 * closed form (bound and anti-bound states, R at t >= 0, AR at t <= 0):
   w (e^{-iEt}/lam - i integral_0^t e^{-iE(t - t')} J1(2bt')/t' dt');
@@ -13,10 +13,11 @@ quadrature or J1.  For a state with weight w:
 
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate, special
 
+from resdyn import lattice
 from resdyn.cli import main
 from resdyn.errors import DomainError
 from resdyn.lattice import (
@@ -26,6 +27,9 @@ from resdyn.lattice import (
     StateClass,
     TDotParams,
     ThetaState,
+    Tolerances,
+    _bessel_table,
+    _series_order,
     amplitude_grid,
     discrete_spectrum,
     survival_direct,
@@ -33,18 +37,9 @@ from resdyn.lattice import (
     theta_weights,
 )
 
+from _oracles import cquad, j1_over_t
+
 NEAR_EP_PARAMS = TDotParams(b=1.0, eps1=-2.347528, eps2=0.0, g=0.4, t2l=1.0, t2r=1.0)
-
-
-def _j1_over_t(b, t):
-    return b if t == 0.0 else special.j1(2.0 * b * t) / t
-
-
-def _cquad(f, lo, hi):
-    def part(fn):
-        return integrate.quad(lambda u: fn(f(u)), lo, hi, limit=4000,
-                              epsabs=1e-14, epsrel=1e-12)[0]
-    return part(np.real) + 1j * part(np.imag)
 
 
 def reference_chi(b, state, weight, t):
@@ -52,7 +47,7 @@ def reference_chi(b, state, weight, t):
     cls = state.state_class
     if not ((cls is StateClass.RESONANT and t < 0)
             or (cls is StateClass.ANTI_RESONANT and t > 0)):
-        forward = _cquad(lambda u: np.exp(-1j * e * (t - u)) * _j1_over_t(b, u),
+        forward = cquad(lambda u: np.exp(-1j * e * (t - u)) * j1_over_t(b, u),
                          0.0, t)
         return weight * (np.exp(-1j * e * t) / lam - 1j * forward)
     sign = 1.0 if cls is StateClass.RESONANT else -1.0
@@ -61,11 +56,11 @@ def reference_chi(b, state, weight, t):
     if abs(e.imag) * s <= 5.0:
         # Laplace transform of J1(2bt)/t minus its part up to s
         laplace = (np.sqrt(p * p + 4.0 * b * b) - p) / (2.0 * b)
-        head = _cquad(lambda u: np.exp(-p * u) * _j1_over_t(b, u), 0.0, s)
+        head = cquad(lambda u: np.exp(-p * u) * j1_over_t(b, u), 0.0, s)
         tail = np.exp(p * s) * (laplace - head)
     else:
         # the envelope e^{-|Im E|(t' - s)} is below e^-40 past the cut
-        tail = _cquad(lambda u: np.exp(-p * (u - s)) * _j1_over_t(b, u),
+        tail = cquad(lambda u: np.exp(-p * (u - s)) * j1_over_t(b, u),
                       s, s + 40.0 / abs(e.imag))
     return -1j * sign * weight * tail
 
@@ -155,12 +150,14 @@ def test_theta_total_is_sum_of_components(fig9_spectrum):
 
 
 def test_quadrature_failure_names_the_series(tmp_path, capsys):
-    cfg = tmp_path / "ratio.cfg"
+    # the components need no quadrature; the direct contour does, and its
+    # failure names the series, its span of times and the tolerances
+    cfg = tmp_path / "survival.cfg"
     cfg.write_text("""
 [run]
 schema_version = 1
 model = tdot
-command = ratio
+command = survival
 
 [params]
 b = 1.0
@@ -179,13 +176,14 @@ n_points = 3
 abs_tol = 1e-300
 rel_tol = 1e-300
 """)
-    rc = main(["ratio", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    rc = main(["survival", "--config", str(cfg),
+               "--out", str(tmp_path / "s.csv")])
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] in ("ToleranceNotMet", "MaxSubdivisions")
     message = err["message"]
-    assert "resonant state" in message
-    assert "E = 0.1996" in message
+    assert "direct contour" in message
+    assert "abs_tol 1e-300" in message
     assert "t in [" in message
 
 
@@ -205,3 +203,85 @@ def test_mirrored_inexact_grid():
     chi = amplitude_grid(spectrum, times)
     direct = survival_direct(params, times, spectrum=spectrum)
     assert np.max(np.abs(chi.sum(axis=0) - direct)) <= 1e-9
+
+
+def test_resonant_unit_amplitude_matches_a_30_digit_series(fig9_spectrum):
+    # fig8b's parameters; u = sum_k a_k i^k J_k(2bt) with a_0 = 1/lam,
+    # a_1 = 1/lam^2, a_k = (1/lam - lam) lam^-k, each J_k from mpmath at 30
+    # digits.  |u| is 1e-4 to 7e-4 here, so 2e-12 relative is about 1e-15
+    # absolute
+    res = fig9_spectrum.resonant()
+    n = fig9_spectrum.states.index(res)
+    times = np.array([50.0, -50.0, 100.0, -100.0])
+    got = amplitude_grid(fig9_spectrum, times,
+                         np.ones(len(fig9_spectrum.states)))[n]
+    b = fig9_spectrum.params.b
+    with mp.workdps(30):
+        lam = mp.mpc(res.lam.real, res.lam.imag)
+        for t, value in zip(times, got):
+            x = 2 * b * abs(t)
+            sign = 1 if t > 0 else -1  # J_k(-x) = (-1)^k J_k(x)
+            total = mp.mpc(0)
+            for k in range(int(x + 12 * x ** (1 / 3) + 60)):
+                a_k = (1 / lam if k == 0 else 1 / lam ** 2 if k == 1
+                       else (1 / lam - lam) / lam ** k)
+                total += a_k * (1j * sign) ** k * mp.besselj(k, x)
+            ref = complex(total)
+            assert abs(value - ref) <= 2e-12 * abs(ref), f"t={t}"
+
+
+def test_near_zero_times_give_the_value_at_zero(fig9_spectrum):
+    # a linspace grid can hold t = -4.4e-16 where it means 0; 2b|t| that
+    # small must not reach the Bessel recurrence's factor 2k/x
+    times = np.array([0.0, 4.4e-16, -4.4e-16, 5e-324, -5e-324])
+    values = amplitude_grid(fig9_spectrum, times)
+    assert np.all(np.isfinite(values))
+    at_zero = values[:, :1]
+    assert np.array_equal(values[:, 3:], np.repeat(at_zero, 2, axis=1))
+    assert np.max(np.abs(values[:, 1:3] - at_zero) / np.abs(at_zero)) <= 2e-15
+
+
+def test_near_ep_component_sum_matches_direct_contour_at_long_times():
+    # Im E_R = -1e-4: the resonance is barely damped out to |t| = 1e4
+    spectrum = discrete_spectrum(NEAR_EP_PARAMS)
+    times = np.array([-1e4, 1e4])
+    chi = amplitude_grid(spectrum, times)
+    direct = survival_direct(NEAR_EP_PARAMS, times,
+                             tol=Tolerances(abs_tol=1e-14, rel_tol=1e-13),
+                             spectrum=spectrum)
+    assert np.max(np.abs(chi.sum(axis=0) - direct)) <= 1e-12
+
+
+def test_bessel_table_matches_mpmath():
+    # columns from the power series (x < 1e-5) and from the recurrence,
+    # each zero above its own order; scipy's jv is off by 1.5e-14 at
+    # J_169(700), so the reference is mpmath
+    x = np.array([0.0, 5e-324, 1e-9, 9.9e-6, 1.1e-5, 0.5, 3.0, 40.0, 700.0])
+    table = _bessel_table(x)
+    start = _series_order(x)
+    assert table.shape == (start[-1] + 1, len(x))
+    assert np.all(table[np.arange(len(table))[:, None] > start] == 0.0)
+    with mp.workdps(30):
+        for j, xj in enumerate(x):
+            for k in sorted({0, 1, 2, 3, 5, min(169, start[j]),
+                             start[j] // 2, start[j]}):
+                ref = float(mp.besselj(k, mp.mpf(xj)))
+                err = abs(table[k, j] - ref)
+                assert err <= 4e-16, (k, xj, err)
+                if xj < 1e-5 and k <= 3 and abs(ref) > 1e-300:
+                    assert err <= 1e-15 * abs(ref), (k, xj, err)
+
+
+def test_grid_split_into_table_groups_gives_the_same_values(
+        fig9_spectrum, monkeypatch):
+    # a table larger than _TABLE_BLOCK entries is built in groups of times
+    times = np.linspace(-60.0, 60.0, 41)
+    whole = amplitude_grid(fig9_spectrum, times)
+    monkeypatch.setattr(lattice, "_TABLE_BLOCK", 400)
+    x = 2.0 * np.unique(np.abs(times))
+    groups = list(lattice._table_groups(x))
+    assert len(groups) > 5
+    assert [g.start for g in groups[1:]] == [g.stop for g in groups[:-1]]
+    assert groups[-1].stop == len(x)
+    split = amplitude_grid(fig9_spectrum, times)
+    assert np.max(np.abs(split - whole)) <= 1e-15

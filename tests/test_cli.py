@@ -60,8 +60,7 @@ def test_fig6b_total_renders_by_the_cell_rule(tmp_path):
     config = load_config(recipe_text("fig6b"))
     spectrum = lat.discrete_spectrum(config.params)
     weights = lat.theta_weights(spectrum, config.options["theta"])
-    total = sum(lat.amplitude_grid(spectrum, config.times, weights,
-                                   tol=config.tolerances))
+    total = sum(lat.amplitude_grid(spectrum, config.times, weights))
     # |A|^2 from Python's abs per value: np.abs on the whole array is one ulp
     # off at rows 180 and 220, which moves the 12th digit there
     expected = ["t,re_a,im_a,abs2_a"] + [
@@ -449,8 +448,9 @@ def test_component_sum_mismatch_exits_3_naming_the_worst_time(
     amplitude_grid = lat.amplitude_grid
     seen = {}
 
-    def off(spectrum, times, weights=None, tol=lat.DEFAULT_TOLERANCES):
-        chi = amplitude_grid(spectrum, times, weights, tol)
+    def off(spectrum, times, weights=None):
+        chi = amplitude_grid(spectrum, times, weights)
+        tol = lat.DEFAULT_TOLERANCES  # the config's, which sets the allowance
         n = spectrum.states.index(spectrum.resonant())
         miss = 1e-6 * np.abs(chi[n]) / (tol.abs_tol
                                         + tol.rel_tol * np.abs(chi).sum(axis=0))
