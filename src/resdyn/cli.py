@@ -66,22 +66,22 @@ def _get(cp, section, key, cast, default=None, required=False):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
-def _theta_state(raw):
+def _finite(raw):
     value = float(raw)
     if not np.isfinite(value):
         raise ValueError(raw)
-    return lat.ThetaState(value)
+    return value
 
 
 def _parse_theta(raw):
     raw = raw.strip()
-    return None if raw == "none" else _theta_state(raw)
+    return None if raw == "none" else lat.ThetaState(_finite(raw))
 
 
 def _parse_thetas(raw):
     """{token: ThetaState} for a comma-separated list of angles; the tokens,
     as written, name the oracle report's keys."""
-    return {tok: _theta_state(tok)
+    return {tok: lat.ThetaState(_finite(tok))
             for tok in (s.strip() for s in raw.split(",")) if tok}
 
 
@@ -132,8 +132,8 @@ def load_config(text):
     except ResdynError as exc:
         raise ConfigError(str(exc)) from exc
 
-    t_min = _get(cp, "time", "t_min", float, default=0.0)
-    t_max = _get(cp, "time", "t_max", float, default=t_min)
+    t_min = _get(cp, "time", "t_min", _finite, default=0.0)
+    t_max = _get(cp, "time", "t_max", _finite, default=t_min)
     n_points = _get(cp, "time", "n_points", int, default=1)
     if n_points < 1:
         raise ConfigError("n_points must be >= 1")

@@ -1,10 +1,9 @@
 """Brute-force verification: Chebyshev time propagation on a truncated lattice.
 
-The dot plus 2N lead sites form a real symmetric matrix whose exact dynamics
-(up to the reflection horizon N/(2b)) ground-truths every contour-based
-amplitude.  The propagation starts from |d1> and runs in real arithmetic:
-a three-term Chebyshev recurrence keeps two vectors and records only their
-d1 and d2 entries, from which the amplitudes at every grid time follow.
+The dot plus 2N lead sites form a real symmetric Hamiltonian whose exact
+dynamics (up to the reflection horizon N/(2b)) ground-truths every
+contour-based amplitude.  The propagation starts from |d1> and runs in real
+arithmetic on a nearest-neighbour stencil; no matrix is stored.
 The expansion coefficients (-i)^k J_k(alpha) are the Fourier coefficients
 of e^{-i alpha cos theta} (Jacobi-Anger), taken from one FFT per distinct
 |alpha|, so this module shares no Bessel evaluation with the analytic side.
@@ -12,12 +11,11 @@ of e^{-i alpha cos theta} (Jacobi-Anger), taken from one FFT per distinct
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import jv
 
 from .errors import DomainError, ReflectionContamination
 from .lattice import TDotParams
@@ -25,15 +23,10 @@ from .lattice import TDotParams
 
 @dataclass(frozen=True)
 class TruncatedLattice:
-    """Finite Hamiltonian: [d1, d2, L_1..L_N, R_1..R_N] site ordering."""
+    """The dot d1-d2 with N sites per lead; d2 couples to L_1 and R_1."""
 
     params: TDotParams
     n_sites_per_lead: int
-    matrix: sparse.csr_matrix
-
-    @property
-    def dimension(self):
-        return 2 + 2 * self.n_sites_per_lead
 
     @property
     def safe_horizon(self):
@@ -41,36 +34,21 @@ class TruncatedLattice:
         velocity at most 2b."""
         return self.n_sites_per_lead / (2.0 * self.params.b)
 
+    @property
+    def scale(self):
+        """Gershgorin bound: the largest absolute row sum of H."""
+        p = self.params
+        return max(abs(p.eps1) + abs(p.g),
+                   abs(p.g) + abs(p.eps2) + abs(p.t2l) + abs(p.t2r),
+                   abs(p.b) + max(abs(p.t2l), abs(p.t2r), abs(p.b)))
+
 
 def build_hamiltonian(params, n_sites_per_lead):
-    """Assemble the truncated tight-binding matrix (real symmetric)."""
+    """The truncated tight-binding lattice with N sites per lead."""
     n = int(n_sites_per_lead)
     if n < 50:
         raise DomainError("need at least 50 sites per lead")
-    dim = 2 + 2 * n
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        if v != 0.0:
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(v)
-
-    add(0, 0, params.eps1)
-    add(1, 1, params.eps2)
-    add(0, 1, -params.g)
-    left0, right0 = 2, 2 + n
-    add(1, left0, -params.t2l)
-    add(1, right0, -params.t2r)
-    for x in range(n - 1):
-        add(left0 + x, left0 + x + 1, -params.b)
-        add(right0 + x, right0 + x + 1, -params.b)
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    return TruncatedLattice(params, n, mat)
+    return TruncatedLattice(params, n)
 
 
 @dataclass(frozen=True)
@@ -84,10 +62,17 @@ class PropagationResult:
 
 
 def _chebyshev_order(alpha):
-    k = int(abs(alpha)) + 20
-    while abs(jv(k, alpha)) > 1e-17:
-        k += 10
-    return k + 10
+    """Smallest k > alpha where Kapteyn's bound (DLMF 10.14.5), which falls
+    with k, gives |J_k(alpha)| <= (z e^s/(1 + s))^k < 1e-17 (z = alpha/k,
+    s = sqrt(1 - z^2)); that is about 12 alpha^(1/3) past alpha."""
+    if alpha == 0:
+        return 1
+    k = np.arange(math.floor(alpha) + 1,
+                  math.ceil(alpha + 15.0 * np.cbrt(alpha)) + 60)
+    z = alpha / k
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    below = k * (np.log(z) + s - np.log1p(s)) <= math.log(1e-17)
+    return int(k[np.argmax(below)])
 
 
 def _coefficients(alphas, order):
@@ -112,18 +97,21 @@ def _coefficients(alphas, order):
 def propagate(lattice, times):
     """<d1|e^{-iHt}|d1> and <d2|e^{-iHt}|d1> on a time grid.
 
-    Chebyshev expansion of the propagator with the spectrum rescaled by the
-    exact Gershgorin row bound.  H is real symmetric and the initial state
-    |d1> is real, so every T_k(H~)|d1> is real.  The three-term recurrence
-    keeps two of them at a time and records only their d1 and d2 entries.
-    The amplitudes at every distinct |t| are small sums over those rows
-    (even k carry real coefficients, odd k imaginary ones).  Since
-    J_k(-x) = (-1)^k J_k(x), the amplitude at -t is the conjugate of the
-    one at t.
+    Chebyshev expansion of the propagator with H~ = H / (Gershgorin bound).
+    H and |d1> are real, so the three-term recurrence runs on two real
+    vectors T_k(H~)|d1>: the scalar d1 and the zero-padded chain
+    [L_N .. L_1, d2, R_1 .. R_N].  T_{k-1}|d1> vanishes beyond k - 2 sites
+    from d2, so step k applies the bulk hop to the k - 1 sites either side in
+    three slice operations, then gives L_1, d2 and R_1 their own rows.  Only
+    the d1 and d2 entries are kept; the amplitude at each distinct |t| sums
+    them (even k real, odd k imaginary), and since J_k(-x) = (-1)^k J_k(x)
+    the amplitude at -t is the conjugate of the one at t.
     """
     times = np.array(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise DomainError("times must be a non-empty 1-d grid")
+    if not np.all(np.isfinite(times)):
+        raise DomainError("times must be finite")
     flags = []
     mags, inverse = np.unique(np.abs(times), return_inverse=True)
     t_max = float(mags[-1])
@@ -133,21 +121,33 @@ def propagate(lattice, times):
             f"max |t| = {t_max:g} exceeds the reflection-free horizon "
             f"{lattice.safe_horizon:g}", ReflectionContamination)
 
-    h = lattice.matrix
-    scale = float(np.max(np.abs(h).sum(axis=1)))
-    h_tilde = h / scale
-    alpha_max = scale * t_max
-    order = _chebyshev_order(alpha_max) if alpha_max > 0 else 1
+    p, n, scale = lattice.params, lattice.n_sites_per_lead, lattice.scale
+    order = _chebyshev_order(scale * t_max)
     coeff = _coefficients(scale * mags, order)
 
+    e1, e2, g = p.eps1 / scale, p.eps2 / scale, -p.g / scale
+    hl, hr, hop = -p.t2l / scale, -p.t2r / scale, -p.b / scale
+    c = n + 1  # d2
+    prev, cur = np.zeros(2 * n + 3), np.zeros(2 * n + 3)
+    window = np.empty(2 * n + 1)
+    x_prev, x_cur, cur[c] = 1.0, e1, g  # x: the d1 entries of T_k|d1>
     rows = np.empty((order + 1, 2))  # d1 and d2 entries of T_k(H~)|d1>
-    prev = np.zeros(lattice.dimension)
-    prev[0] = 1.0
-    cur = h_tilde @ prev
-    rows[0], rows[1] = prev[:2], cur[:2]
+    rows[0], rows[1] = (1.0, 0.0), (e1, g)
     for k in range(2, order + 1):
-        cur, prev = 2.0 * (h_tilde @ cur) - prev, cur
-        rows[k] = cur[:2]
+        cl, c0, cr = cur[c - 1], cur[c], cur[c + 1]
+        x_new = 2.0 * (e1 * x_cur + g * c0) - x_prev
+        d2 = 2.0 * (g * x_cur + e2 * c0 + hl * cl + hr * cr) - prev[c]
+        l1 = 2.0 * (hl * c0 + hop * cur[c - 2]) - prev[c - 1]
+        r1 = 2.0 * (hr * c0 + hop * cur[c + 2]) - prev[c + 1]
+        lo, hi = c - min(k - 1, n), c + min(k - 1, n) + 1
+        new = window[:hi - lo]
+        np.add(cur[lo - 1:hi - 1], cur[lo + 1:hi + 1], out=new)
+        new *= 2.0 * hop
+        np.subtract(new, prev[lo:hi], out=prev[lo:hi])
+        prev[c - 1], prev[c], prev[c + 1] = l1, d2, r1
+        prev, cur = cur, prev
+        x_prev, x_cur = x_cur, x_new
+        rows[k] = x_new, d2
 
     real = np.einsum("tk,ks->ts", coeff[:, 0::2], rows[0::2])
     imag = np.einsum("tk,ks->ts", coeff[:, 1::2], rows[1::2])

@@ -14,7 +14,7 @@ Chebyshev expansion.
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, sparse, special
 from scipy.sparse.linalg import expm_multiply
 
 from resdyn.friedrichs import _cut_main_breakpoints, _fm7_value, _tail_rotated
@@ -77,11 +77,26 @@ def j1_transform(b, energy):
     return cquad(real_axis, 0.0, t_far) + cquad(ray, 0.0, np.inf)
 
 
+def lattice_matrix(params, n):
+    """The truncated tight-binding Hamiltonian with n sites per lead, as a
+    sparse matrix on the sites [d1, d2, L_1..L_n, R_1..R_n]."""
+    p = params
+    dim = 2 + 2 * n
+    lead = np.arange(n - 1)
+    i = np.concatenate([[0, 1, 1], 2 + lead, 2 + n + lead])
+    j = np.concatenate([[1, 2, 2 + n], 3 + lead, 3 + n + lead])
+    hops = np.concatenate([[-p.g, -p.t2l, -p.t2r], np.full(2 * (n - 1), -p.b)])
+    upper = sparse.coo_matrix((hops, (i, j)), shape=(dim, dim))
+    onsite = np.zeros(dim)
+    onsite[:2] = p.eps1, p.eps2
+    return (sparse.diags(onsite) + upper + upper.T).tocsr()
+
+
 def expm_rows(lattice, times):
     """<d1|e^{-iHt}|d1> and <d2|e^{-iHt}|d1> on a truncated lattice, one
-    expm_multiply per time."""
-    h = lattice.matrix.astype(complex)
-    v = np.zeros(lattice.dimension, dtype=complex)
+    expm_multiply per time on the matrix of ``lattice_matrix``."""
+    h = lattice_matrix(lattice.params, lattice.n_sites_per_lead).astype(complex)
+    v = np.zeros(h.shape[0], dtype=complex)
     v[0] = 1.0
     rows = np.array([expm_multiply(-1j * t * h, v)[:2] for t in times])
     return rows[:, 0], rows[:, 1]

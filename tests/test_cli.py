@@ -132,6 +132,24 @@ def test_exit_code_2_on_malformed_theta(tmp_path, capsys, command, section,
     assert "theta" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["survival", "oracle-check"])
+@pytest.mark.parametrize("t_min, t_max, key", [
+    ("0.0", "inf", "t_max"),
+    ("0.0", "1e400", "t_max"),
+    ("-inf", "1.0", "t_min"),
+])
+def test_exit_code_2_on_non_finite_time_bound(tmp_path, capsys, command, t_min,
+                                              t_max, key):
+    cfg = BASE_TDOT.format(
+        command=command, eps1="0.2",
+        extra=f"[time]\nt_min = {t_min}\nt_max = {t_max}\nn_points = 5")
+    rc = main([command, "--config", write_cfg(tmp_path, cfg)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"[time] {key}" in err["message"]
+
+
 def test_exit_code_2_on_missing_file(capsys):
     rc = main(["zeno", "--config", "/no/such/file.cfg"])
     assert rc == 2

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -16,12 +19,11 @@ from resdyn.oracle import (
 )
 
 from conftest import FIG9_PARAMS
-from _oracles import expm_rows
+from _oracles import expm_rows, lattice_matrix
 
 
 def test_matrix_is_symmetric_and_structured():
-    lat = build_hamiltonian(FIG9_PARAMS, 60)
-    dense = lat.matrix.toarray()
+    dense = lattice_matrix(FIG9_PARAMS, 60).toarray()
     assert np.array_equal(dense, dense.T)
     assert dense[0, 0] == FIG9_PARAMS.eps1
     assert dense[1, 1] == FIG9_PARAMS.eps2
@@ -29,22 +31,33 @@ def test_matrix_is_symmetric_and_structured():
     assert dense[1, 2] == -FIG9_PARAMS.t2l
     assert dense[1, 2 + 60] == -FIG9_PARAMS.t2r
     assert dense[2, 3] == -FIG9_PARAMS.b
-
-
-def test_decoupled_dot_is_block_diagonal():
-    p = TDotParams(1.0, 0.3, -0.1, 0.0, 0.0, 0.0)
-    lat = build_hamiltonian(p, 50)
-    dense = lat.matrix.toarray()
-    assert np.all(dense[:2, 2:] == 0.0)
-    assert np.all(dense[2:, :2] == 0.0)
+    assert dense[2 + 60, 3 + 60] == -FIG9_PARAMS.b
+    # eps1 (eps2 is 0 here), then g, t2l, t2r and 2 x 59 lead hops, each twice
+    assert np.count_nonzero(dense) == 1 + 2 * 3 + 4 * 59
 
 
 def test_lead_block_spectrum_stays_in_band():
-    lat = build_hamiltonian(FIG9_PARAMS, 80)
-    lead = lat.matrix.toarray()[2:82, 2:82]
+    lead = lattice_matrix(FIG9_PARAMS, 80).toarray()[2:82, 2:82]
     eigs = np.linalg.eigvalsh(lead)
     assert eigs.min() > -2.0 * FIG9_PARAMS.b - 1e-10
     assert eigs.max() < 2.0 * FIG9_PARAMS.b + 1e-10
+
+
+@pytest.mark.parametrize("params", [
+    FIG9_PARAMS,
+    TDotParams(0.7, -0.4, 0.2, 0.8, 0.3, 1.6),
+    TDotParams(0.5, 2.5, 0.0, -0.1, 0.0, 0.0),
+    TDotParams(0.5, 0.0, -0.3, 0.2, -1.1, 0.4),
+    TDotParams(2.0, 0.1, 0.1, 0.1, 0.1, 0.1),
+    TDotParams(1.0, 0.0, 0.0, 0.1, 1.5, 0.1),
+    TDotParams(1.0, 0.0, 0.0, 0.1, 0.1, 1.5),
+])
+def test_scale_is_the_largest_absolute_row_sum(params):
+    lat = build_hamiltonian(params, 50)
+    dense = lattice_matrix(params, 50).toarray()
+    row_sum = np.max(np.sum(np.abs(dense), axis=1))
+    assert lat.scale == pytest.approx(row_sum, rel=1e-15)
+    assert np.max(np.abs(np.linalg.eigvalsh(dense))) < lat.scale * (1 + 1e-12)
 
 
 def test_minimum_size_enforced():
@@ -138,6 +151,27 @@ def test_matches_expm_multiply_on_mixed_sign_grid():
     assert np.max(np.abs(res.amplitudes["d2"] - d2)) < 1e-12
 
 
+def test_matches_expm_multiply_on_asymmetric_lattice_past_horizon():
+    # |t| runs past the horizon N/(2b) = 42.9, so the light cone reaches
+    # both chain ends and the wave comes back from them
+    p = TDotParams(0.7, -0.4, 0.2, 0.8, 0.3, 1.6)
+    lat = build_hamiltonian(p, 60)
+    times = np.array([-60.0, -47.5, -30.0, -4.2, 0.0, 1.3, 12.0, 42.0, 55.5,
+                      60.0])
+    with pytest.warns(ReflectionContamination):
+        res = propagate(lat, times)
+    d1, d2 = expm_rows(lat, times)
+    assert np.max(np.abs(res.amplitudes["d1"] - d1)) < 1e-12
+    assert np.max(np.abs(res.amplitudes["d2"] - d2)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_are_rejected(bad):
+    lat = build_hamiltonian(FIG9_PARAMS, 50)
+    with pytest.raises(DomainError):
+        propagate(lat, [1.0, bad])
+
+
 def test_grid_equals_one_time_calls():
     # each lone time has its own expansion order
     lat = build_hamiltonian(FIG9_PARAMS, 200)
@@ -150,9 +184,9 @@ def test_grid_equals_one_time_calls():
 
 
 def test_working_memory_does_not_grow_with_order():
-    # the expansion order is 2,560 here and a Chebyshev vector 32 kB; the
-    # peak, 0.84 MB, is mostly _coefficients' (21, 2561) output next to the
-    # 64 kB arrays of one FFT row; the bound leaves 20% above it
+    # the expansion order is 2,561 here and a Chebyshev vector 32 kB; the
+    # peak, 0.73 MB, is mostly _coefficients' (21, 2562) output next to the
+    # 64 kB arrays of one FFT row; the bound leaves a third above it
     lat = build_hamiltonian(FIG9_PARAMS, 2000)
     times = np.linspace(-1000.0, 1000.0, 41)
     tracemalloc.start()
@@ -179,6 +213,24 @@ def test_fft_coefficients_match_40_digit_bessel():
     jv_err = np.max(np.abs((unit * jv(ks, alphas[:, None])).real - exact))
     assert fft_err <= jv_err
     assert fft_err < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.5, 50.0, 1213.5, 2427.0,
+                                   1e4, 1e5])
+def test_chebyshev_order_drops_every_later_bessel_below_1e_17(alpha):
+    order = _chebyshev_order(alpha)
+    assert order >= 1
+    assert np.max(np.abs(jv(np.arange(order, order + 51), alpha))) <= 1e-17
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    import resdyn
+
+    src = str(Path(resdyn.__file__).parents[1])
+    code = "import sys, resdyn.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "False"
 
 
 def test_mirrored_times_are_conjugates_bit_for_bit():
