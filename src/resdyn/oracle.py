@@ -134,17 +134,17 @@ def propagate(lattice, times):
     rows = np.empty((order + 1, 2))  # d1 and d2 entries of T_k(H~)|d1>
     rows[0], rows[1] = (1.0, 0.0), (e1, g)
     for k in range(2, order + 1):
-        cl, c0, cr = cur[c - 1], cur[c], cur[c + 1]
+        l2, l1, c0, r1, r2 = cur[c - 2:c + 3].tolist()  # Python floats
+        pl, p0, pr = prev[c - 1:c + 2].tolist()
         x_new = 2.0 * (e1 * x_cur + g * c0) - x_prev
-        d2 = 2.0 * (g * x_cur + e2 * c0 + hl * cl + hr * cr) - prev[c]
-        l1 = 2.0 * (hl * c0 + hop * cur[c - 2]) - prev[c - 1]
-        r1 = 2.0 * (hr * c0 + hop * cur[c + 2]) - prev[c + 1]
-        lo, hi = c - min(k - 1, n), c + min(k - 1, n) + 1
-        new = window[:hi - lo]
-        np.add(cur[lo - 1:hi - 1], cur[lo + 1:hi + 1], out=new)
+        d2 = 2.0 * (g * x_cur + e2 * c0 + hl * l1 + hr * r1) - p0
+        w = min(k - 1, n)
+        new = window[:2 * w + 1]
+        np.add(cur[c - w - 1:c + w], cur[c - w + 1:c + w + 2], out=new)
         new *= 2.0 * hop
-        np.subtract(new, prev[lo:hi], out=prev[lo:hi])
-        prev[c - 1], prev[c], prev[c + 1] = l1, d2, r1
+        np.subtract(new, prev[c - w:c + w + 1], out=prev[c - w:c + w + 1])
+        prev[c - 1:c + 2] = (2.0 * (hl * c0 + hop * l2) - pl, d2,
+                             2.0 * (hr * c0 + hop * r2) - pr)
         prev, cur = cur, prev
         x_prev, x_cur = x_cur, x_new
         rows[k] = x_new, d2
