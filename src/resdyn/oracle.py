@@ -62,17 +62,19 @@ class PropagationResult:
 
 
 def _chebyshev_order(alpha):
-    """Smallest k > alpha where Kapteyn's bound (DLMF 10.14.5), which falls
-    with k, gives |J_k(alpha)| <= (z e^s/(1 + s))^k < 1e-17 (z = alpha/k,
-    s = sqrt(1 - z^2)); that is about 12 alpha^(1/3) past alpha."""
+    """Smallest k > alpha with |J_k(alpha)| <= (z e^s/(1 + s))^k < 1e-17,
+    z = alpha/k, s = sqrt(1 - z^2) (Kapteyn, DLMF 10.14.5), by bisection: the
+    bound falls with k and needs about 12 alpha^(1/3) orders past alpha."""
     if alpha == 0:
         return 1
-    k = np.arange(math.floor(alpha) + 1,
-                  math.ceil(alpha + 15.0 * np.cbrt(alpha)) + 60)
-    z = alpha / k
-    s = np.sqrt((1.0 - z) * (1.0 + z))
-    below = k * (np.log(z) + s - np.log1p(s)) <= math.log(1e-17)
-    return int(k[np.argmax(below)])
+    lo, hi = math.floor(alpha), math.ceil(alpha + 15.0 * alpha ** (1 / 3)) + 60
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        z = alpha / mid
+        s = math.sqrt((1.0 - z) * (1.0 + z))
+        below = mid * (math.log(z) + s - math.log1p(s)) <= math.log(1e-17)
+        lo, hi = (lo, mid) if below else (mid, hi)
+    return hi
 
 
 def _coefficients(alphas, order):
@@ -108,10 +110,8 @@ def propagate(lattice, times):
     the amplitude at -t is the conjugate of the one at t.
     """
     times = np.array(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise DomainError("times must be a non-empty 1-d grid")
-    if not np.all(np.isfinite(times)):
-        raise DomainError("times must be finite")
+    if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
+        raise DomainError("times must be a finite, non-empty 1-d grid")
     flags = []
     mags, inverse = np.unique(np.abs(times), return_inverse=True)
     t_max = float(mags[-1])
