@@ -2,11 +2,10 @@
 
 The dot plus 2N lead sites form a real symmetric Hamiltonian whose exact
 dynamics (up to the reflection horizon N/(2b)) ground-truths every
-contour-based amplitude.  The propagation starts from |d1> and runs in real
-arithmetic on a nearest-neighbour stencil; no matrix is stored.
-The expansion coefficients (-i)^k J_k(alpha) are the Fourier coefficients
-of e^{-i alpha cos theta} (Jacobi-Anger), taken from one FFT per distinct
-|alpha|, so this module shares no Bessel evaluation with the analytic side.
+contour-based amplitude; it is propagated from |d1> on a numpy stencil.  The
+coefficients (-i)^k J_k(alpha) come from one FFT of e^{-i alpha cos theta}
+per distinct |alpha| (Jacobi-Anger), so this module shares no Bessel
+evaluation with the analytic side.
 """
 
 from __future__ import annotations
@@ -99,15 +98,13 @@ def _coefficients(alphas, order):
 def propagate(lattice, times):
     """<d1|e^{-iHt}|d1> and <d2|e^{-iHt}|d1> on a time grid.
 
-    Chebyshev expansion of the propagator with H~ = H / (Gershgorin bound).
-    H and |d1> are real, so the three-term recurrence runs on two real
-    vectors T_k(H~)|d1>: the scalar d1 and the zero-padded chain
-    [L_N .. L_1, d2, R_1 .. R_N].  T_{k-1}|d1> vanishes beyond k - 2 sites
-    from d2, so step k applies the bulk hop to the k - 1 sites either side in
-    three slice operations, then gives L_1, d2 and R_1 their own rows.  Only
-    the d1 and d2 entries are kept; the amplitude at each distinct |t| sums
-    them (even k real, odd k imaginary), and since J_k(-x) = (-1)^k J_k(x)
-    the amplitude at -t is the conjugate of the one at t.
+    Chebyshev expansion with H~ = H / (Gershgorin bound); H and |d1> are real,
+    so the recurrence runs on two real vectors T_k(H~)|d1>, each a scalar d1
+    and the chain [L_N .. L_1, d2, R_1 .. R_N] padded with zeros.  T_{k-1}|d1>
+    vanishes beyond k - 2 sites from d2, so step k hops only on a window
+    around d2 (three slice operations) and then fixes the rows of L_1, d2 and
+    R_1.  The amplitudes sum the d1 and d2 entries at each distinct |t|, and
+    J_k(-x) = (-1)^k J_k(x) makes the one at -t the conjugate of that at t.
     """
     times = np.array(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
@@ -128,29 +125,32 @@ def propagate(lattice, times):
     e1, e2, g = p.eps1 / scale, p.eps2 / scale, -p.g / scale
     hl, hr, hop = -p.t2l / scale, -p.t2r / scale, -p.b / scale
     c = n + 1  # d2
-    prev, cur = np.zeros(2 * n + 3), np.zeros(2 * n + 3)
-    window = np.empty(2 * n + 1)
-    x_prev, x_cur, cur[c] = 1.0, e1, g  # x: the d1 entries of T_k|d1>
-    rows = np.empty((order + 1, 2))  # d1 and d2 entries of T_k(H~)|d1>
-    rows[0], rows[1] = (1.0, 0.0), (e1, g)
+    vecs, window = np.zeros((2, 2 * n + 3)), np.empty(2 * n + 1)
+    vecs[1, c] = g  # the chain of T_k|d1> lives in vecs[k % 2]
+    x_prev, x_cur = 1.0, e1  # d1 entries of T_{k-2}|d1> and T_{k-1}|d1>
+    rows = np.empty((2, order + 1))  # d1 and d2 entries of T_k(H~)|d1>
+    rows[:, 0], rows[:, 1] = (1.0, 0.0), (e1, g)
     for k in range(2, order + 1):
-        l2, l1, c0, r1, r2 = cur[c - 2:c + 3].tolist()  # Python floats
-        pl, p0, pr = prev[c - 1:c + 2].tolist()
+        if k % 64 == 2:  # the window grows by 64 sites every 64 steps
+            lo, hi = c - min(k + 62, n), c + min(k + 62, n) + 1
+            new = window[:hi - lo]
+            views = [(v[lo - 1:hi - 1], v[lo + 1:hi + 1], u[lo:hi],
+                      v[c - 2:c + 3], u[c - 1:c + 2])
+                     for v, u in zip(vecs[::-1], vecs)]  # by parity of k
+        left, right, back, near, edge = views[k % 2]
+        (l2, l1, c0, r1, r2), (pl, p0, pr) = near.tolist(), edge.tolist()
         x_new = 2.0 * (e1 * x_cur + g * c0) - x_prev
         d2 = 2.0 * (g * x_cur + e2 * c0 + hl * l1 + hr * r1) - p0
-        w = min(k - 1, n)
-        new = window[:2 * w + 1]
-        np.add(cur[c - w - 1:c + w], cur[c - w + 1:c + w + 2], out=new)
+        np.add(left, right, out=new)
         new *= 2.0 * hop
-        np.subtract(new, prev[c - w:c + w + 1], out=prev[c - w:c + w + 1])
-        prev[c - 1:c + 2] = (2.0 * (hl * c0 + hop * l2) - pl, d2,
-                             2.0 * (hr * c0 + hop * r2) - pr)
-        prev, cur = cur, prev
+        np.subtract(new, back, out=back)
+        edge[0], edge[1], edge[2] = (2.0 * (hl * c0 + hop * l2) - pl, d2,
+                                     2.0 * (hr * c0 + hop * r2) - pr)
         x_prev, x_cur = x_cur, x_new
-        rows[k] = x_new, d2
+        rows[0, k], rows[1, k] = x_new, d2
 
-    real = np.einsum("tk,ks->ts", coeff[:, 0::2], rows[0::2])
-    imag = np.einsum("tk,ks->ts", coeff[:, 1::2], rows[1::2])
+    real = np.einsum("tk,sk->ts", coeff[:, 0::2], rows[:, 0::2])
+    imag = np.einsum("tk,sk->ts", coeff[:, 1::2], rows[:, 1::2])
     sign = np.where(times < 0, -1.0, 1.0)
     amplitudes = {site: real[inverse, i] + 1j * sign * imag[inverse, i]
                   for i, site in enumerate(("d1", "d2"))}
