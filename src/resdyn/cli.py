@@ -73,6 +73,13 @@ def _finite(raw):
     return value
 
 
+def _positive(raw):
+    value = _finite(raw)
+    if value <= 0:
+        raise ValueError(raw)
+    return value
+
+
 def _parse_theta(raw):
     raw = raw.strip()
     return None if raw == "none" else lat.ThetaState(_finite(raw))
@@ -144,8 +151,8 @@ def load_config(text):
         raise ConfigError("need t_min < t_max")
 
     tol = lat.Tolerances(
-        abs_tol=_get(cp, "tolerances", "abs_tol", float, default=1e-10),
-        rel_tol=_get(cp, "tolerances", "rel_tol", float, default=1e-8),
+        abs_tol=_get(cp, "tolerances", "abs_tol", _positive, default=1e-10),
+        rel_tol=_get(cp, "tolerances", "rel_tol", _positive, default=1e-8),
     )
 
     default_format = _COMMANDS[command][1][0]
@@ -153,6 +160,8 @@ def load_config(text):
 
     sweep_parameter = sweep_values = None
     if cp.has_section("sweep"):
+        if not _COMMANDS[command][3]:
+            raise ConfigError(f"{command} takes no [sweep] section")
         sweep_parameter = _get(cp, "sweep", "parameter", str, required=True).strip()
         lo = _get(cp, "sweep", "lo", float, required=True)
         hi = _get(cp, "sweep", "hi", float, required=True)
@@ -165,14 +174,19 @@ def load_config(text):
             raise ConfigError(f"cannot sweep {sweep_parameter!r} for {model}")
         sweep_values = np.linspace(lo, hi, n)
 
+    n_sites = _get(cp, "oracle", "n_sites", int, default=800)
+    if n_sites < orc.MIN_SITES_PER_LEAD:
+        raise ConfigError(
+            f"[oracle] n_sites must be >= {orc.MIN_SITES_PER_LEAD}")
     options = {
         "components": _get(cp, "survival", "components", _parse_bool, default=False),
         "isolated_residue": _get(cp, "survival", "isolated_residue", _parse_bool,
                                  default=False),
         "short_time": _get(cp, "survival", "short_time", _parse_bool, default=False),
         "theta": _get(cp, "survival", "theta", _parse_theta, default=None),
-        "oracle_n_sites": _get(cp, "oracle", "n_sites", int, default=800),
-        "oracle_tolerance": _get(cp, "oracle", "tolerance", float, default=1e-4),
+        "oracle_n_sites": n_sites,
+        "oracle_tolerance": _get(cp, "oracle", "tolerance", _positive,
+                                 default=1e-4),
         "oracle_thetas": _get(cp, "oracle", "thetas", _parse_thetas,
                               default={}),
         "ep_lo": _get(cp, "ep", "eps1_lo", float, default=None),
@@ -512,16 +526,18 @@ def cmd_oracle_check(config, args):
     return _EXIT_OK
 
 
-# command -> (function, output formats with the default first, models);
-# time-series commands are CSV contracts, report commands JSON
+# command -> (function, output formats with the default first, models,
+# whether it takes a [sweep]); time-series commands are CSV contracts,
+# report commands JSON
 _COMMANDS = {
-    "spectrum": (cmd_spectrum, ("csv", "json"), ("tdot",)),
-    "survival": (cmd_survival, ("csv",), ("tdot", "friedrichs")),
-    "ratio": (cmd_ratio, ("csv",), ("tdot",)),
-    "zeno": (cmd_zeno, ("json",), ("tdot",)),
-    "friedrichs": (cmd_survival, ("csv",), ("friedrichs",)),
-    "ep-locate": (cmd_ep_locate, ("json",), ("tdot",)),
-    "oracle-check": (cmd_oracle_check, ("json",), ("tdot", "friedrichs")),
+    "spectrum": (cmd_spectrum, ("csv", "json"), ("tdot",), True),
+    "survival": (cmd_survival, ("csv",), ("tdot", "friedrichs"), True),
+    "ratio": (cmd_ratio, ("csv",), ("tdot",), False),
+    "zeno": (cmd_zeno, ("json",), ("tdot",), False),
+    "friedrichs": (cmd_survival, ("csv",), ("friedrichs",), True),
+    "ep-locate": (cmd_ep_locate, ("json",), ("tdot",), False),
+    "oracle-check": (cmd_oracle_check, ("json",), ("tdot", "friedrichs"),
+                     False),
 }
 
 RECIPE_NAMES = ("fig2", "fig5", "fig6a", "fig6b", "fig6c", "fig8a", "fig8b",
@@ -577,7 +593,7 @@ def main(argv=None):
                 f"invoked as {args.command!r}")
         if args.format:
             config = dataclasses.replace(config, out_format=args.format)
-        func, formats, models = _COMMANDS[args.command]
+        func, formats, models, _sweeps = _COMMANDS[args.command]
         if config.model not in models:
             raise ConfigError(
                 f"{args.command} requires model = {' or '.join(models)}")

@@ -10,7 +10,7 @@ tolerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +58,13 @@ class QuadratureResult:
     """Value, conservative absolute-error estimate and evaluation count.
 
     A vector-valued integrand (one returning an ``(n_nodes, m)`` array) gets
-    length-m value and error arrays, one entry per column.  ``panels`` holds
-    the converged leaf panels as (lo, hi, values) arrays sorted by lo, with
-    values of shape (n_panels,), or (m, n_panels) for a vector integrand;
-    they add up to ``value`` up to rounding.  ``evaluations`` counts
-    abscissae, whatever m is.
+    length-m value and error arrays, one entry per column.  ``evaluations``
+    counts abscissae, whatever m is.
     """
 
     value: complex
     abs_error_estimate: float
     evaluations: int
-    panels: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(np.asarray(self.abs_error_estimate) < 0) or self.evaluations < 1:
@@ -140,12 +136,11 @@ def _refine(f, pts, abs_tol, rel_tol, max_subdivisions):
     total_err = live[:, :n].sum(axis=1)
     rounds = 0
 
-    def result(panels=None):
+    def result():
         if scalar:
             return QuadratureResult(complex(total_value[0]),
-                                    float(total_err[0]), n_eval, panels)
-        return QuadratureResult(total_value.copy(), total_err.copy(), n_eval,
-                                panels)
+                                    float(total_err[0]), n_eval)
+        return QuadratureResult(total_value.copy(), total_err.copy(), n_eval)
 
     while True:
         failing = total_err > np.maximum(abs_tol, rel_tol * np.abs(total_value))
@@ -184,12 +179,7 @@ def _refine(f, pts, abs_tol, rel_tol, max_subdivisions):
         hi += new_hi
         n = end
         rounds += 1
-
-    lo, hi = np.array(lo), np.array(hi)
-    keep = np.flatnonzero(live[0, :n] != -np.inf)
-    keep = keep[np.argsort(lo[keep], kind="stable")]
-    leaf_values = values[:, keep]
-    return result((lo[keep], hi[keep], leaf_values[0] if scalar else leaf_values))
+    return result()
 
 
 def adaptive_quad(f, a, b, abs_tol=1e-10, rel_tol=1e-8,
@@ -203,8 +193,8 @@ def adaptive_quad(f, a, b, abs_tol=1e-10, rel_tol=1e-8,
     b = float(b)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise DomainError("need finite a < b")
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise DomainError("tolerances must be positive")
+    if not (0 < abs_tol < np.inf and 0 < rel_tol < np.inf):
+        raise DomainError("tolerances must be positive and finite")
     return _refine(f, np.array([a, b]), abs_tol, rel_tol, max_subdivisions)
 
 
@@ -223,7 +213,7 @@ def piecewise_quad(f, breakpoints, abs_tol=1e-10, rel_tol=1e-8,
         raise DomainError("breakpoints must be strictly increasing, len >= 2")
     if not (np.isfinite(pts[0]) and np.isfinite(pts[-1])):
         raise DomainError("breakpoints must be finite")
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise DomainError("tolerances must be positive")
+    if not (0 < abs_tol < np.inf and 0 < rel_tol < np.inf):
+        raise DomainError("tolerances must be positive and finite")
     return _refine(f, pts, abs_tol, rel_tol, max_subdivisions)
 

@@ -49,8 +49,8 @@ class Tolerances:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise DomainError("tolerances must be positive and finite")
 
 
 DEFAULT_TOLERANCES = Tolerances()

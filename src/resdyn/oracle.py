@@ -2,10 +2,11 @@
 
 The dot plus 2N lead sites form a real symmetric Hamiltonian whose exact
 dynamics (up to the reflection horizon N/(2b)) ground-truths every
-contour-based amplitude; it is propagated from |d1> on a numpy stencil.  The
-coefficients (-i)^k J_k(alpha) come from one FFT of e^{-i alpha cos theta}
-per distinct |alpha| (Jacobi-Anger), so this module shares no Bessel
-evaluation with the analytic side.
+contour-based amplitude; it is propagated from |d1> on a numpy stencil over
+the one lead chain that couples to d2.  The coefficients (-i)^k J_k(alpha)
+come from one FFT of e^{-i alpha cos theta} per distinct |alpha|
+(Jacobi-Anger), so this module shares no Bessel evaluation with the
+analytic side.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 
 from .errors import DomainError, ReflectionContamination
 from .lattice import TDotParams
+
+MIN_SITES_PER_LEAD = 50
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,8 @@ class TruncatedLattice:
 def build_hamiltonian(params, n_sites_per_lead):
     """The truncated tight-binding lattice with N sites per lead."""
     n = int(n_sites_per_lead)
-    if n < 50:
-        raise DomainError("need at least 50 sites per lead")
+    if n < MIN_SITES_PER_LEAD:
+        raise DomainError(f"need at least {MIN_SITES_PER_LEAD} sites per lead")
     return TruncatedLattice(params, n)
 
 
@@ -99,12 +102,15 @@ def propagate(lattice, times):
     """<d1|e^{-iHt}|d1> and <d2|e^{-iHt}|d1> on a time grid.
 
     Chebyshev expansion with H~ = H / (Gershgorin bound); H and |d1> are real,
-    so the recurrence runs on two real vectors T_k(H~)|d1>, each a scalar d1
-    and the chain [L_N .. L_1, d2, R_1 .. R_N] padded with zeros.  T_{k-1}|d1>
-    vanishes beyond k - 2 sites from d2, so step k hops only on a window
-    around d2 (three slice operations) and then fixes the rows of L_1, d2 and
-    R_1.  The amplitudes sum the d1 and d2 entries at each distinct |t|, and
-    J_k(-x) = (-1)^k J_k(x) makes the one at -t the conjugate of that at t.
+    so the recurrence runs on two real vectors T_k(H~)|d1>.  The leads reach
+    d2 only through c_j = (t2l L_j + t2r R_j)/tau, tau = hypot(t2l, t2r), and
+    H maps the chain [d1, d2, c_1 .. c_N] (hops g, tau, b, b, ..) into
+    itself, so the vectors hold that chain and the two-lead bound still
+    covers its spectrum.  T_k|d1> vanishes beyond site k, so min(N, order) + 3
+    entries suffice.  Each step is the bulk hop (three slice operations) and
+    the rows of d1, d2 and c_1.  The amplitudes sum the d1 and d2 entries at
+    each distinct |t|, and J_k(-x) = (-1)^k J_k(x) makes the one at -t the
+    conjugate of that at t.
     """
     times = np.array(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
@@ -123,31 +129,24 @@ def propagate(lattice, times):
     coeff = _coefficients(scale * mags, order)
 
     e1, e2, g = p.eps1 / scale, p.eps2 / scale, -p.g / scale
-    hl, hr, hop = -p.t2l / scale, -p.t2r / scale, -p.b / scale
-    c = n + 1  # d2
-    vecs, window = np.zeros((2, 2 * n + 3)), np.empty(2 * n + 1)
-    vecs[1, c] = g  # the chain of T_k|d1> lives in vecs[k % 2]
-    x_prev, x_cur = 1.0, e1  # d1 entries of T_{k-2}|d1> and T_{k-1}|d1>
+    tau, hop = -math.hypot(p.t2l, p.t2r) / scale, -p.b / scale
+    vecs = np.zeros((2, min(n, order) + 3))  # T_k|d1> lives in vecs[k % 2]
+    vecs[0, 0], vecs[1, 0], vecs[1, 1] = 1.0, e1, g
+    new = np.empty(vecs.shape[1] - 4)
+    views = [(v[2:-2], v[4:], u[3:-1], v[:4], u[:3])
+             for v, u in zip(vecs[::-1], vecs)]  # by parity of k
     rows = np.empty((2, order + 1))  # d1 and d2 entries of T_k(H~)|d1>
     rows[:, 0], rows[:, 1] = (1.0, 0.0), (e1, g)
     for k in range(2, order + 1):
-        if k % 64 == 2:  # the window grows by 64 sites every 64 steps
-            lo, hi = c - min(k + 62, n), c + min(k + 62, n) + 1
-            new = window[:hi - lo]
-            views = [(v[lo - 1:hi - 1], v[lo + 1:hi + 1], u[lo:hi],
-                      v[c - 2:c + 3], u[c - 1:c + 2])
-                     for v, u in zip(vecs[::-1], vecs)]  # by parity of k
         left, right, back, near, edge = views[k % 2]
-        (l2, l1, c0, r1, r2), (pl, p0, pr) = near.tolist(), edge.tolist()
-        x_new = 2.0 * (e1 * x_cur + g * c0) - x_prev
-        d2 = 2.0 * (g * x_cur + e2 * c0 + hl * l1 + hr * r1) - p0
+        (x0, x1, x2, x3), (p0, p1, p2) = near.tolist(), edge.tolist()
+        d1 = 2.0 * (e1 * x0 + g * x1) - p0
+        d2 = 2.0 * (g * x0 + e2 * x1 + tau * x2) - p1
         np.add(left, right, out=new)
         new *= 2.0 * hop
         np.subtract(new, back, out=back)
-        edge[0], edge[1], edge[2] = (2.0 * (hl * c0 + hop * l2) - pl, d2,
-                                     2.0 * (hr * c0 + hop * r2) - pr)
-        x_prev, x_cur = x_cur, x_new
-        rows[0, k], rows[1, k] = x_new, d2
+        edge[0], edge[1], edge[2] = d1, d2, 2.0 * (tau * x1 + hop * x3) - p2
+        rows[0, k], rows[1, k] = d1, d2
 
     real = np.einsum("tk,sk->ts", coeff[:, 0::2], rows[:, 0::2])
     imag = np.einsum("tk,sk->ts", coeff[:, 1::2], rows[:, 1::2])

@@ -150,6 +150,46 @@ def test_exit_code_2_on_non_finite_time_bound(tmp_path, capsys, command, t_min,
     assert f"[time] {key}" in err["message"]
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("survival", "tolerances", "abs_tol", "-1"),
+    ("survival", "tolerances", "abs_tol", "nan"),
+    ("survival", "tolerances", "rel_tol", "inf"),
+    ("oracle-check", "tolerances", "rel_tol", "0"),
+    ("oracle-check", "oracle", "tolerance", "inf"),
+    ("oracle-check", "oracle", "tolerance", "nan"),
+    ("oracle-check", "oracle", "tolerance", "-1e-4"),
+    ("oracle-check", "oracle", "n_sites", "10"),
+])
+def test_exit_code_2_on_bad_tolerance_or_lattice_size(tmp_path, capsys,
+                                                     command, section, key,
+                                                     value):
+    cfg = BASE_TDOT.format(
+        command=command, eps1="0.2",
+        extra=f"[time]\nt_min = 0.0\nt_max = 5.0\nn_points = 3\n"
+              f"[{section}]\n{key} = {value}")
+    rc = main([command, "--config", write_cfg(tmp_path, cfg)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"[{section}] {key}" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["ratio", "zeno", "ep-locate",
+                                     "oracle-check"])
+def test_exit_code_2_on_sweep_for_a_command_that_does_not_sweep(
+        tmp_path, capsys, command):
+    cfg = BASE_TDOT.format(
+        command=command, eps1="0.2",
+        extra="[time]\nt_min = 0.0\nt_max = 5.0\nn_points = 3\n"
+              "[ep]\neps1_lo = -2.0\neps1_hi = 0.0\n"
+              "[sweep]\nparameter = eps1\nlo = 0.1\nhi = 0.3\nn = 3")
+    rc = main([command, "--config", write_cfg(tmp_path, cfg)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "[sweep]" in err["message"]
+
+
 def test_exit_code_2_on_missing_file(capsys):
     rc = main(["zeno", "--config", "/no/such/file.cfg"])
     assert rc == 2

@@ -151,10 +151,16 @@ def test_matches_expm_multiply_on_mixed_sign_grid():
     assert np.max(np.abs(res.amplitudes["d2"] - d2)) < 1e-12
 
 
-def test_matches_expm_multiply_on_asymmetric_lattice_past_horizon():
+@pytest.mark.parametrize("t2l, t2r", [(0.3, 1.6), (-0.3, 1.6), (0.0, 1.6),
+                                      (0.0, 0.0)],
+                         ids=["both-positive", "opposite-signs", "left-zero",
+                              "both-zero"])
+def test_matches_expm_multiply_on_asymmetric_lattice_past_horizon(t2l, t2r):
     # |t| runs past the horizon N/(2b) = 42.9, so the light cone reaches
-    # both chain ends and the wave comes back from them
-    p = TDotParams(0.7, -0.4, 0.2, 0.8, 0.3, 1.6)
+    # the chain's end and the wave comes back from it; the reference
+    # propagates both leads, so it checks the one-chain reduction as well,
+    # down to t2l = t2r = 0, where d2 is cut off from the leads
+    p = TDotParams(0.7, -0.4, 0.2, 0.8, t2l, t2r)
     lat = build_hamiltonian(p, 60)
     times = np.array([-60.0, -47.5, -30.0, -4.2, 0.0, 1.3, 12.0, 42.0, 55.5,
                       60.0])
@@ -183,12 +189,16 @@ def test_grid_equals_one_time_calls():
             assert abs(one.amplitudes[site][0] - res.amplitudes[site][i]) < 1e-13
 
 
-def test_working_memory_does_not_grow_with_order():
-    # the expansion order is 2,561 here and a Chebyshev vector 32 kB; the
-    # peak, 0.73 MB, is mostly _coefficients' (21, 2562) output next to the
-    # 64 kB arrays of one FFT row; the bound leaves a third above it
-    lat = build_hamiltonian(FIG9_PARAMS, 2000)
-    times = np.linspace(-1000.0, 1000.0, 41)
+@pytest.mark.parametrize("n_sites, t_max", [(2000, 1000.0), (10**6, 5.0)],
+                         ids=["long-run", "long-lattice"])
+def test_working_memory_does_not_grow_with_order(n_sites, t_max):
+    # long run: the expansion order is 2,561 and a Chebyshev vector 16 kB;
+    # the peak, about 0.7 MB, is mostly _coefficients' (21, 2562) output
+    # next to the 64 kB arrays of one FFT row; the bound leaves a third
+    # above it.  Long lattice: the light cone of the order-42 run sets the
+    # vectors' length, which at the lattice's 10^6 sites would take 16 MB
+    lat = build_hamiltonian(FIG9_PARAMS, n_sites)
+    times = np.linspace(-t_max, t_max, 41)
     tracemalloc.start()
     try:
         propagate(lat, times)

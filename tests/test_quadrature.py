@@ -3,6 +3,7 @@ import pytest
 
 from resdyn.errors import DomainError, ToleranceNotMet
 from resdyn.kernel import adaptive_quad, piecewise_quad
+from resdyn.lattice import Tolerances
 
 # (integrand, a, b, exact value) -- the conservative-error battery
 CLOSED_FORMS = [
@@ -99,6 +100,22 @@ def test_domain_validation():
         adaptive_quad(f, 0.0, 1.0, abs_tol=0.0)
     with pytest.raises(DomainError):
         piecewise_quad(f, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("abs_tol, rel_tol", [
+    (np.nan, np.nan), (np.inf, np.inf), (1e-10, np.nan), (np.inf, 1e-8),
+])
+def test_tolerances_must_be_positive_and_finite(abs_tol, rel_tol):
+    # a NaN or infinite tolerance would switch refinement off: at
+    # abs_tol = rel_tol = NaN this integral came out -1.306 - 0.418i, not
+    # 0.0145 + 0.0046i, after one pass and without an error
+    f = lambda x: np.exp(40j * x)
+    with pytest.raises(DomainError):
+        piecewise_quad(f, [0.0, 3.0], abs_tol=abs_tol, rel_tol=rel_tol)
+    with pytest.raises(DomainError):
+        adaptive_quad(f, 0.0, 3.0, abs_tol=abs_tol, rel_tol=rel_tol)
+    with pytest.raises(DomainError):
+        Tolerances(abs_tol, rel_tol)
 
 
 def test_piecewise_matches_single_interval():
