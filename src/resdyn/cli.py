@@ -163,8 +163,8 @@ def load_config(text):
         if not _COMMANDS[command][3]:
             raise ConfigError(f"{command} takes no [sweep] section")
         sweep_parameter = _get(cp, "sweep", "parameter", str, required=True).strip()
-        lo = _get(cp, "sweep", "lo", float, required=True)
-        hi = _get(cp, "sweep", "hi", float, required=True)
+        lo = _get(cp, "sweep", "lo", _finite, required=True)
+        hi = _get(cp, "sweep", "hi", _finite, required=True)
         n = _get(cp, "sweep", "n", int, required=True)
         if n < 1 or (n > 1 and not lo < hi):
             raise ConfigError("sweep bounds must be ordered with n >= 1")
@@ -189,8 +189,8 @@ def load_config(text):
                                  default=1e-4),
         "oracle_thetas": _get(cp, "oracle", "thetas", _parse_thetas,
                               default={}),
-        "ep_lo": _get(cp, "ep", "eps1_lo", float, default=None),
-        "ep_hi": _get(cp, "ep", "eps1_hi", float, default=None),
+        "ep_lo": _get(cp, "ep", "eps1_lo", _finite, default=None),
+        "ep_hi": _get(cp, "ep", "eps1_hi", _finite, default=None),
     }
     return RunConfig(model, command, params, np.linspace(t_min, t_max, n_points),
                      tol, out_format, sweep_parameter, sweep_values, options)

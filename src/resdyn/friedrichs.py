@@ -25,9 +25,10 @@ rule is computed as sa = -sign Im sqrt(E), sb = sa kappa: one pair per pole
 and sign of t, with no quadrature and no state kept between calls.
 
 With z_n = i sqrt(i E_n t), the product e^{-iE_n t} erfc(sb z_n) is the
-single Faddeeva value w(i sb z_n), which neither overflows nor underflows
-at large |t Im E_n|.  The weights of a monic cubic sum to zero, so the
-sqrt(pi/(it)) terms cancel exactly from the survival amplitude
+single Faddeeva value w(i sb z_n) (``kernel.faddeeva``), which neither
+overflows nor underflows at large |t Im E_n|.  The weights of a monic cubic
+sum to zero, so the sqrt(pi/(it)) terms cancel exactly from the survival
+amplitude
 
   A(t) = r_B e^{-i E_B t} - i pi sqrt(beta) sum_n w_n sa_n sqrt(E_n) w(i sb_n z_n),
 
@@ -42,7 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import (
     DomainError,
@@ -52,6 +52,7 @@ from .errors import (
 from .kernel import (
     adaptive_quad,
     erfc_complex,  # noqa: F401  (bench/spans.py traces the kernel here)
+    faddeeva,
     piecewise_quad,  # noqa: F401  (likewise)
     poly_roots,
 )
@@ -287,7 +288,8 @@ def _cut_main_breakpoints(u0, t, special_u):
         u = np.sqrt(np.arange(1, int(u0 * u0 * abs(t) / np.pi) + 2)
                     * np.pi / abs(t))
         pts = np.concatenate((pts, u[u < u0]))
-    out = np.unique(pts)
+    # sorted, without exact or near duplicates
+    out = np.sort(pts)
     return out[np.concatenate(([True], np.diff(out) > 1e-13 * u0))]
 
 
@@ -344,10 +346,12 @@ def a_cut_direct(params, t, tol=DEFAULT_TOLERANCES, poles=None):
 
 def _faddeeva_term(beta, weight, energy, t, sign_root_e, sign_erfc):
     """-i pi sqrt(beta) w sa sqrt(E) w(i sb z): the part of a pole's cut
-    component that survives in the sum over the poles (module docstring)."""
+    component that survives in the sum over the poles (module docstring).
+    The arguments broadcast against each other, so one Faddeeva call serves
+    any number of poles and times."""
     z = 1j * np.sqrt(1j * energy * t)
     return (-1j * np.pi * np.sqrt(beta) * weight * sign_root_e
-            * np.sqrt(energy) * wofz(1j * sign_erfc * z))
+            * np.sqrt(energy) * faddeeva(1j * sign_erfc * z))
 
 
 def _fm7_value(beta, weight, energy, t, sign_root_e, sign_erfc):
@@ -366,6 +370,16 @@ def _erfc_branches(energy, t_sign):
     return sa, (sa if kappa > 0 else -sa)
 
 
+def _branch_signs(energies, times):
+    """(sa, sb), each of shape (len(energies), len(times)): every time takes
+    the ``_erfc_branches`` of its sign, and t = 0 those of t > 0."""
+    neg = times < 0.0
+    pairs = {t_sign: np.array([_erfc_branches(e, t_sign)
+                               for e in energies]).T[..., None]
+             for t_sign, side in ((1, ~neg), (-1, neg)) if side.any()}
+    return np.where(neg, pairs.get(-1, 0.0), pairs.get(1, 0.0))
+
+
 def a_component(params, n, t, poles=None):
     """Closed-form single-pole cut component A_n(t) for the pole labelled n.
 
@@ -379,12 +393,8 @@ def a_component(params, n, t, poles=None):
         raise DomainError("single cut components diverge at t = 0")
     p = poles if poles is not None else friedrichs_poles(params)
     pole = p[n]
-    out = np.empty(len(times), dtype=complex)
-    for t_sign, side in ((1, times > 0.0), (-1, times < 0.0)):
-        if side.any():
-            sa, sb = _erfc_branches(pole.energy, t_sign)
-            out[side] = _fm7_value(params.beta, pole.weight, pole.energy,
-                                   times[side], sa, sb)
+    sa, sb = _branch_signs([pole.energy], times)
+    out = _fm7_value(params.beta, pole.weight, pole.energy, times, sa[0], sb[0])
     return complex(out[0]) if scalar else out
 
 
@@ -420,14 +430,14 @@ def survival_total(params, t, poles=None):
     """A(t): the bound-state term plus the sum over every pole of its cut
     component without the sqrt(pi/(it)) term, which cancels in the sum
     (module docstring); ``t`` is a time or a 1-d grid (a grid gives an
-    array)."""
+    array).  One Faddeeva call covers every pole and time; the poles are
+    summed in their order."""
     times, scalar = _time_grid(t)
     p = poles if poles is not None else friedrichs_poles(params)
+    energy = np.array([[pole.energy] for pole in p.roots])
+    weight = np.array([[pole.weight] for pole in p.roots])
+    sa, sb = _branch_signs([pole.energy for pole in p.roots], times)
     total = p.bound_residue * np.exp(-1j * p["B"].energy.real * times)
-    for t_sign, side in ((1, times >= 0.0), (-1, times < 0.0)):
-        if side.any():
-            for pole in p.roots:
-                total[side] += _faddeeva_term(
-                    params.beta, pole.weight, pole.energy, times[side],
-                    *_erfc_branches(pole.energy, t_sign))
+    for term in _faddeeva_term(params.beta, weight, energy, times, sa, sb):
+        total += term
     return complex(total[0]) if scalar else total

@@ -1,5 +1,6 @@
 """Numeric kernel: real-polynomial roots (numpy companion matrix, Newton
-polish, backward-error gate), adaptive quadrature, special functions."""
+polish, backward-error gate), adaptive quadrature, special functions
+(Faddeeva on numpy alone)."""
 
 from .quadrature import (
     QuadratureResult,
@@ -7,13 +8,14 @@ from .quadrature import (
     piecewise_quad,
 )
 from .roots import poly_roots
-from .specfun import bessel_j1, erfc_complex, upper_gamma_mhalf
+from .specfun import bessel_j1, erfc_complex, faddeeva, upper_gamma_mhalf
 
 __all__ = [
     "QuadratureResult",
     "adaptive_quad",
     "bessel_j1",
     "erfc_complex",
+    "faddeeva",
     "piecewise_quad",
     "poly_roots",
     "upper_gamma_mhalf",

@@ -542,8 +542,9 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
         graded = [abs(end - width * 4.0 ** np.arange(
                       max(0.0, np.ceil(np.log2(spacing / width) / 2.0))))
                   for end, width in peaks]
-        pts = np.union1d(_panel_edges(np.array([0.0, np.pi]), spacing),
-                         np.concatenate([extra, *graded]))
+        pts = np.sort(np.concatenate(
+            [_panel_edges(np.array([0.0, np.pi]), spacing), extra, *graded]))
+        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
         circle[idx] = _grid_quad(integrand, pts, tg, tol, "direct contour")
     total = (bound_sum + circle)[inverse]
     total = np.where(grid < 0, np.conj(total), total)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +170,23 @@ def test_exit_code_2_on_bad_tolerance_or_lattice_size(tmp_path, capsys,
         command=command, eps1="0.2",
         extra=f"[time]\nt_min = 0.0\nt_max = 5.0\nn_points = 3\n"
               f"[{section}]\n{key} = {value}")
+    rc = main([command, "--config", write_cfg(tmp_path, cfg)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"[{section}] {key}" in err["message"]
+
+
+@pytest.mark.parametrize("command, section, key, body", [
+    ("spectrum", "sweep", "lo", "parameter = eps1\nlo = -inf\nhi = 0.3\nn = 3"),
+    ("spectrum", "sweep", "hi", "parameter = eps1\nlo = 0.1\nhi = inf\nn = 3"),
+    ("ep-locate", "ep", "eps1_lo", "eps1_lo = nan\neps1_hi = 0.0"),
+    ("ep-locate", "ep", "eps1_hi", "eps1_lo = -2.0\neps1_hi = -inf"),
+], ids=["sweep-lo", "sweep-hi", "ep-eps1_lo", "ep-eps1_hi"])
+def test_exit_code_2_on_non_finite_sweep_or_ep_bound(tmp_path, capsys, command,
+                                                     section, key, body):
+    cfg = BASE_TDOT.format(command=command, eps1="0.2",
+                           extra=f"[{section}]\n{body}")
     rc = main([command, "--config", write_cfg(tmp_path, cfg)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
@@ -714,3 +734,33 @@ def test_format_constraints(tmp_path, capsys):
     path2 = write_cfg(tmp_path, surv, "surv.cfg")
     assert main(["survival", "--config", path2, "--format", "json"]) == 2
     capsys.readouterr()
+
+
+NO_SCIPY_RUN = """
+import sys
+import resdyn
+import resdyn.cli as cli
+out, cfg = sys.argv[1:]
+runs = [["friedrichs", "--recipe", "fig11"], ["survival", "--recipe", "fig6a"],
+        ["ratio", "--recipe", "fig8b"], ["spectrum", "--recipe", "fig2"],
+        ["oracle-check", "--config", cfg]]
+codes = [cli.main(argv + ["--out", f"{out}/{i}"]) for i, argv in enumerate(runs)]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    """Importing the package and running every model's commands, the oracle
+    included, loads no scipy module."""
+    import resdyn
+
+    cfg = BASE_TDOT.format(
+        command="oracle-check", eps1="0.2",
+        extra="[time]\nt_min = -20.0\nt_max = 20.0\nn_points = 5\n"
+              "[oracle]\nn_sites = 50")
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path),
+         write_cfg(tmp_path, cfg)],
+        capture_output=True, text=True, check=True,
+        cwd=str(Path(resdyn.__file__).parents[1]))
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0] []"

@@ -1,7 +1,4 @@
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -231,16 +228,6 @@ def test_chebyshev_order_drops_every_later_bessel_below_1e_17(alpha):
     order = _chebyshev_order(alpha)
     assert order >= 1
     assert np.max(np.abs(jv(np.arange(order, order + 51), alpha))) <= 1e-17
-
-
-def test_cli_import_leaves_out_scipy_sparse():
-    import resdyn
-
-    src = str(Path(resdyn.__file__).parents[1])
-    code = "import sys, resdyn.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, cwd=src)
-    assert out.stdout.strip() == "False"
 
 
 def test_mirrored_times_are_conjugates_bit_for_bit():

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from resdyn.kernel import (
     adaptive_quad,
     bessel_j1,
     erfc_complex,
+    faddeeva,
     piecewise_quad,
     upper_gamma_mhalf,
 )
@@ -73,6 +76,46 @@ def test_j1_vectorized_matches_scalar():
 def test_j1_rejects_nonfinite():
     with pytest.raises(DomainError):
         bessel_j1(np.inf)
+
+
+# ---------------------------------------------------------------------------
+# faddeeva
+
+
+def _faddeeva_mp(z):
+    with mpmath.workdps(40):
+        zz = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(-zz * zz) * mpmath.erfc(-1j * zz))
+
+
+# log-polar points, |z| from 1e-6 to 1e3 at every angle, and the real axis
+FADDEEVA_POINTS = np.concatenate([
+    10.0 ** np.random.default_rng(12).uniform(-6, 3, 200)
+    * np.exp(1j * np.random.default_rng(13).uniform(-np.pi, np.pi, 200)),
+    [1e-6, 1.0, 5.0, 1e3, -1e3, 1e3j]])
+
+
+def test_faddeeva_accuracy_against_mpmath():
+    z = FADDEEVA_POINTS
+    ref = np.array([_faddeeva_mp(v) for v in z])
+    with np.errstate(over="ignore"):
+        rel = np.abs(faddeeva(z) - ref) / np.abs(ref)
+    assert rel[z.imag >= 0].max() <= 5e-15
+    near_lower = (z.imag < 0) & (np.abs(z) <= 10.0)
+    assert near_lower.sum() > 50
+    assert rel[near_lower].max() <= 1e-14
+
+
+def test_faddeeva_at_zero_and_warning_free_in_upper_half_plane():
+    assert faddeeva(0.0) == 1.0
+    upper = FADDEEVA_POINTS[FADDEEVA_POINTS.imag >= 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = faddeeva(upper)
+    assert np.all(np.isfinite(values))
+    # scalars give complex, arrays keep their shape
+    assert faddeeva(upper[0]) == values[0]
+    assert faddeeva(upper[:6].reshape(2, 3)).shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
