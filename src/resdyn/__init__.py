@@ -9,7 +9,18 @@ of resonance-antiresonance symmetry explicit, and a brute-force lattice
 propagator that ground-truths everything.
 """
 
-from .friedrichs import (
+import os
+import sys
+
+# Every BLAS call of the package is tiny (4x4 companion eigenvalues), so an
+# OpenBLAS thread pool buys nothing; its worker only spins, about 0.13 s of
+# CPU right after numpy loads, which now falls inside a command's run.  When
+# resdyn is the one to load numpy, the pool defaults to one thread; a value
+# already in the environment wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .friedrichs import (  # noqa: E402
     FriedrichsParams,
     FriedrichsPoles,
     Pole,
@@ -20,7 +31,7 @@ from .friedrichs import (
     green_function,
     survival_total,
 )
-from .lattice import (
+from .lattice import (  # noqa: E402
     DiscreteState,
     Spectrum,
     StateClass,
@@ -45,7 +56,12 @@ from .lattice import (
     theta_weights,
     zeno_time,
 )
-from .oracle import PropagationResult, TruncatedLattice, build_hamiltonian, propagate
+from .oracle import (  # noqa: E402
+    PropagationResult,
+    TruncatedLattice,
+    build_hamiltonian,
+    propagate,
+)
 
 __all__ = [
     "DiscreteState",

@@ -737,6 +737,7 @@ def test_format_constraints(tmp_path, capsys):
 
 
 NO_SCIPY_RUN = """
+import os
 import sys
 import resdyn
 import resdyn.cli as cli
@@ -745,14 +746,22 @@ runs = [["friedrichs", "--recipe", "fig11"], ["survival", "--recipe", "fig6a"],
         ["ratio", "--recipe", "fig8b"], ["spectrum", "--recipe", "fig2"],
         ["oracle-check", "--config", cfg]]
 codes = [cli.main(argv + ["--out", f"{out}/{i}"]) for i, argv in enumerate(runs)]
-print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      os.environ["OPENBLAS_NUM_THREADS"])
 """
 
 
-def test_cli_runs_on_numpy_alone(tmp_path):
+@pytest.mark.parametrize("blas_threads", [None, "2"])
+def test_cli_runs_on_numpy_alone(tmp_path, monkeypatch, blas_threads):
     """Importing the package and running every model's commands, the oracle
-    included, loads no scipy module."""
+    included, loads no scipy module; the package, loading numpy, defaults
+    OpenBLAS to one thread unless the environment sets it."""
     import resdyn
+
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
 
     cfg = BASE_TDOT.format(
         command="oracle-check", eps1="0.2",
@@ -763,4 +772,4 @@ def test_cli_runs_on_numpy_alone(tmp_path):
          write_cfg(tmp_path, cfg)],
         capture_output=True, text=True, check=True,
         cwd=str(Path(resdyn.__file__).parents[1]))
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0] []"
+    assert out.stdout.strip() == f"[0, 0, 0, 0, 0] [] {blas_threads or 1}"
