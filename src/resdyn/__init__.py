@@ -26,6 +26,7 @@ from .friedrichs import (  # noqa: E402
     Pole,
     a_component,
     a_component_asymptotic,
+    a_components,
     a_cut_direct,
     friedrichs_poles,
     green_function,
@@ -78,6 +79,7 @@ __all__ = [
     "ZenoReport",
     "a_component",
     "a_component_asymptotic",
+    "a_components",
     "a_cut_direct",
     "amplitude_grid",
     "build_hamiltonian",

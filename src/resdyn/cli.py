@@ -355,9 +355,8 @@ def _friedrichs_series(config):
     total = fm.survival_total(config.params, times, poles=poles)
     components = []
     if config.options["components"]:
-        components = [(pole.label, fm.a_component(config.params, pole.label,
-                                                  times, poles=poles))
-                      for pole in poles.roots]
+        values = fm.a_components(config.params, times, poles=poles)
+        components = [(pole.label, row) for pole, row in zip(poles.roots, values)]
     return total, components, [], {}
 
 

@@ -288,7 +288,7 @@ def _cut_main_breakpoints(u0, t, special_u):
         u = np.sqrt(np.arange(1, int(u0 * u0 * abs(t) / np.pi) + 2)
                     * np.pi / abs(t))
         pts = np.concatenate((pts, u[u < u0]))
-    # sorted, without exact or near duplicates
+    # sorted and deduplicated by hand: np.unique imports numpy.ma on first use
     out = np.sort(pts)
     return out[np.concatenate(([True], np.diff(out) > 1e-13 * u0))]
 
@@ -370,32 +370,45 @@ def _erfc_branches(energy, t_sign):
     return sa, (sa if kappa > 0 else -sa)
 
 
-def _branch_signs(energies, times):
-    """(sa, sb), each of shape (len(energies), len(times)): every time takes
-    the ``_erfc_branches`` of its sign, and t = 0 those of t > 0."""
+def _pole_columns(poles, times):
+    """The weights and energies of ``poles.roots`` as columns, and their
+    (sa, sb) at every time (poles x times): each time takes the
+    ``_erfc_branches`` of its sign, and t = 0 those of t > 0."""
+    weight = np.array([[pole.weight] for pole in poles.roots])
+    energy = np.array([[pole.energy] for pole in poles.roots])
     neg = times < 0.0
-    pairs = {t_sign: np.array([_erfc_branches(e, t_sign)
-                               for e in energies]).T[..., None]
+    pairs = {t_sign: np.array([_erfc_branches(pole.energy, t_sign)
+                               for pole in poles.roots]).T[..., None]
              for t_sign, side in ((1, ~neg), (-1, neg)) if side.any()}
-    return np.where(neg, pairs.get(-1, 0.0), pairs.get(1, 0.0))
+    sa, sb = np.where(neg, pairs.get(-1, 0.0), pairs.get(1, 0.0))
+    return weight, energy, sa, sb
 
 
-def a_component(params, n, t, poles=None):
-    """Closed-form single-pole cut component A_n(t) for the pole labelled n.
+def a_components(params, t, poles=None):
+    """Closed-form cut components A_n(t) of every pole, one row per pole in
+    ``poles.roots`` order, from one Faddeeva call.
 
-    ``t`` is a time or a 1-d grid (a grid gives an array).  The square-root
-    branches follow from the pole and the sign of t alone (module
-    docstring), so no quadrature is made; t = 0 is rejected because
+    ``t`` is a time (a row is then one value) or a 1-d grid.  The
+    square-root branches follow from the pole and the sign of t alone
+    (module docstring), so no quadrature is made; t = 0 is rejected because
     individual components diverge there.
     """
     times, scalar = _time_grid(t)
     if np.any(times == 0.0):
         raise DomainError("single cut components diverge at t = 0")
     p = poles if poles is not None else friedrichs_poles(params)
-    pole = p[n]
-    sa, sb = _branch_signs([pole.energy], times)
-    out = _fm7_value(params.beta, pole.weight, pole.energy, times, sa[0], sb[0])
-    return complex(out[0]) if scalar else out
+    weight, energy, sa, sb = _pole_columns(p, times)
+    out = _fm7_value(params.beta, weight, energy, times, sa, sb)
+    return out[:, 0] if scalar else out
+
+
+def a_component(params, n, t, poles=None):
+    """The cut component A_n(t) of the pole labelled n: its row of
+    ``a_components``."""
+    p = poles if poles is not None else friedrichs_poles(params)
+    row = p.roots.index(p[n])
+    out = a_components(params, t, p)[row]
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def a_component_asymptotic(params, t, poles=None):
@@ -434,9 +447,7 @@ def survival_total(params, t, poles=None):
     summed in their order."""
     times, scalar = _time_grid(t)
     p = poles if poles is not None else friedrichs_poles(params)
-    energy = np.array([[pole.energy] for pole in p.roots])
-    weight = np.array([[pole.weight] for pole in p.roots])
-    sa, sb = _branch_signs([pole.energy for pole in p.roots], times)
+    weight, energy, sa, sb = _pole_columns(p, times)
     total = p.bound_residue * np.exp(-1j * p["B"].energy.real * times)
     for term in _faddeeva_term(params.beta, weight, energy, times, sa, sb):
         total += term

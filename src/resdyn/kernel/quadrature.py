@@ -152,7 +152,8 @@ def _refine(f, pts, abs_tol, rel_tol, max_subdivisions):
                 f"error estimate {total_err[failing].max():.3e} above "
                 f"tolerance after {rounds} subdivisions", result=result())
         if len(worst) > 1:
-            worst = np.flatnonzero(np.bincount(worst))  # distinct, ascending
+            # distinct, ascending (np.unique imports numpy.ma on first use)
+            worst = np.flatnonzero(np.bincount(worst))
         split = worst.tolist()
         mids = [0.5 * (lo[i] + hi[i]) for i in split]
         for i, sm in zip(split, mids):

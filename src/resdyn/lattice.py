@@ -542,6 +542,7 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
         graded = [abs(end - width * 4.0 ** np.arange(
                       max(0.0, np.ceil(np.log2(spacing / width) / 2.0))))
                   for end, width in peaks]
+        # the sorted union by hand: np.union1d imports numpy.ma on first use
         pts = np.sort(np.concatenate(
             [_panel_edges(np.array([0.0, np.pi]), spacing), extra, *graded]))
         pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]

@@ -485,15 +485,14 @@ def test_fig11_recipe_total_even_and_components_split(tmp_path):
 
 def test_non_finite_series_exits_3_naming_it(tmp_path, capsys, monkeypatch):
     from resdyn import friedrichs as fm
-    component = fm.a_component
+    components = fm.a_components
 
-    def broken(params, n, t, poles=None):
-        values = component(params, n, t, poles=poles)
-        if n == "R":
-            values[4] = np.nan
+    def broken(params, t, poles=None):
+        values = components(params, t, poles=poles)
+        values[[pole.label for pole in poles.roots].index("R"), 4] = np.nan
         return values
 
-    monkeypatch.setattr(fm, "a_component", broken)
+    monkeypatch.setattr(fm, "a_components", broken)
     cfg = write_cfg(tmp_path, """
 [run]
 schema_version = 1
