@@ -14,9 +14,9 @@ import sys
 
 # Every BLAS call of the package is tiny (4x4 companion eigenvalues), so an
 # OpenBLAS thread pool buys nothing; its worker only spins, about 0.13 s of
-# CPU right after numpy loads, which now falls inside a command's run.  When
-# resdyn is the one to load numpy, the pool defaults to one thread; a value
-# already in the environment wins.
+# CPU right after numpy loads, which lands inside the first commands of a
+# short-lived process.  When resdyn is the one to load numpy, the pool
+# defaults to one thread; a value already in the environment wins.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
