@@ -15,7 +15,6 @@ import configparser
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -192,20 +191,22 @@ def load_config(text):
         "ep_lo": _get(cp, "ep", "eps1_lo", _finite, default=None),
         "ep_hi": _get(cp, "ep", "eps1_hi", _finite, default=None),
     }
-    return RunConfig(model, command, params, np.linspace(t_min, t_max, n_points),
-                     tol, out_format, sweep_parameter, sweep_values, options)
+    config = RunConfig(model, command, params,
+                       np.linspace(t_min, t_max, n_points), tol, out_format,
+                       sweep_parameter, sweep_values, options)
+    # every sweep value must lie in the model's domain, as [params] must
+    for value in () if sweep_values is None else sweep_values:
+        try:
+            _swept_params(config, value)
+        except ResdynError as exc:
+            raise ConfigError(
+                f"[sweep] {sweep_parameter} = {value:.12g}: {exc}") from exc
+    return config
 
 
 def _swept_params(config, value):
     return dataclasses.replace(config.params,
                                **{config.sweep_parameter: float(value)})
-
-
-def _sweep_map(func, values, n_threads):
-    if n_threads <= 1 or len(values) <= 1:
-        return [func(v) for v in values]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(func, values))
 
 
 def _write_text(out_path, text):
@@ -265,7 +266,7 @@ def cmd_spectrum(config, args):
             config.params if value is None else _swept_params(config, value))
         return [_state_record(s) for s in spectrum.states], spectrum.flags
 
-    results = _sweep_map(one, values, args.threads)
+    results = [one(value) for value in values]
     if config.out_format == "json":
         payload = []
         for value, (recs, flags) in zip(values, results):
@@ -391,10 +392,9 @@ def cmd_survival(config, args):
         _write_text(args.out, _csv_document(
             _survival_columns(config, model_series(config)), ("t",)))
         return _EXIT_OK
-    parts = _sweep_map(
-        lambda value: model_series(
-            dataclasses.replace(config, params=_swept_params(config, value))),
-        config.sweep_values, args.threads)
+    parts = [model_series(dataclasses.replace(
+                 config, params=_swept_params(config, value)))
+             for value in config.sweep_values]
     # the state classes and their number can change along the sweep; the
     # columns are joined by position, so then the components are named by
     # position too, and a state missing at a sweep value contributes 0
@@ -564,7 +564,7 @@ def build_parser():
     parser.add_argument("--format", choices=("csv", "json"),
                         help="override the config's output format")
     parser.add_argument("--threads", type=int, default=1,
-                        help="sweep worker count (default: 1)")
+                        help="no effect; sweeps run on the calling thread")
     return parser
 
 

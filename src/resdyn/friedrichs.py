@@ -22,7 +22,7 @@ takes sa = -c sigma and sb = -c sigma kappa, where kappa = zeta/sqrt(iEt) =
 +-1 relates zeta to the principal root it evaluates.  Across arg a = -+pi/4
 sigma and c flip together, and c sigma = sign Im a on every ray, so the
 rule is computed as sa = -sign Im sqrt(E), sb = sa kappa: one pair per pole
-and sign of t, with no quadrature and no state kept between calls.
+and sign of t, kept on the pole by ``friedrichs_poles``, with no quadrature.
 
 With z_n = i sqrt(i E_n t), the product e^{-iE_n t} erfc(sb z_n) is the
 single Faddeeva value w(i sb z_n) (``kernel.faddeeva``), which neither
@@ -83,11 +83,13 @@ class FriedrichsParams:
 
 @dataclass(frozen=True)
 class Pole:
-    """A root E_n of the cubic, its label and its partial-fraction weight."""
+    """A root E_n of the cubic, its label, its partial-fraction weight and
+    the (sa, sb) of ``_fm7_value`` for t > 0 and for t < 0."""
 
     label: str
     energy: complex
     weight: complex
+    branches: tuple
 
 
 @dataclass(frozen=True)
@@ -228,8 +230,9 @@ def friedrichs_poles(params):
     else:
         bound_residue = 0.0
     return FriedrichsPoles(
-        tuple(Pole(label, energies[label], weights[label])
-              for label in energies),
+        tuple(Pole(n, e, weights[n], (_erfc_branches(e, 1),
+                                      _erfc_branches(e, -1)))
+              for n, e in energies.items()),
         bound_residue, params)
 
 
@@ -372,15 +375,12 @@ def _erfc_branches(energy, t_sign):
 
 def _pole_columns(poles, times):
     """The weights and energies of ``poles.roots`` as columns, and their
-    (sa, sb) at every time (poles x times): each time takes the
-    ``_erfc_branches`` of its sign, and t = 0 those of t > 0."""
+    (sa, sb) at every time (poles x times): each time takes the branches of
+    its sign, and t = 0 those of t > 0."""
     weight = np.array([[pole.weight] for pole in poles.roots])
     energy = np.array([[pole.energy] for pole in poles.roots])
-    neg = times < 0.0
-    pairs = {t_sign: np.array([_erfc_branches(pole.energy, t_sign)
-                               for pole in poles.roots]).T[..., None]
-             for t_sign, side in ((1, ~neg), (-1, neg)) if side.any()}
-    sa, sb = np.where(neg, pairs.get(-1, 0.0), pairs.get(1, 0.0))
+    pairs = np.moveaxis([pole.branches for pole in poles.roots], 0, -1)
+    sa, sb = np.where(times < 0.0, pairs[1, ..., None], pairs[0, ..., None])
     return weight, energy, sa, sb
 
 
@@ -432,7 +432,7 @@ def a_component_asymptotic(params, t, poles=None):
     if -times.max() * abs(res.energy) < 10.0:
         warnings.warn("asymptotic resonant form used at -t |E_R| < 10",
                       ValidityWarning)
-    sa, sb = _erfc_branches(res.energy, -1)
+    sa, sb = res.branches[1]
     zeta = 1j * np.sqrt(1j * res.energy * times)
     out = (-sa * sb * res.weight * np.sqrt(np.pi * params.beta * res.energy)
            * (-1j) / (2.0 * zeta ** 3))

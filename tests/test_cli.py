@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,40 @@ def test_threads_do_not_change_sweep_output(tmp_path):
         assert main([command, "--config", path, "--out", out4,
                      "--threads", "4"]) == 0
         assert open(out1, "rb").read() == open(out4, "rb").read(), command
+
+
+def test_sweep_values_run_on_the_calling_thread(tmp_path, monkeypatch):
+    """--threads is accepted but starts no thread."""
+    def refuse(self):
+        raise AssertionError("a sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    path = write_cfg(tmp_path, SWEEPS["survival"])
+    assert main(["survival", "--config", path, "--out",
+                 str(tmp_path / "out.csv"), "--threads", "4"]) == 0
+    assert len(read_csv(tmp_path / "out.csv")[1]) == 3 * 21
+
+
+@pytest.mark.parametrize("command, cfg, name, value", [
+    ("survival", SWEEPS["survival"].replace(
+        "parameter = eps1\nlo = 0.2\nhi = 0.3",
+        "parameter = b\nlo = -1.0\nhi = 1.0"), "b", "-1"),
+    ("friedrichs", FRIEDRICHS_SWEEP.replace(
+        "parameter = g\nlo = 0.08\nhi = 0.12",
+        "parameter = beta\nlo = -0.5\nhi = 0.5"), "beta", "-0.5"),
+], ids=["tdot", "friedrichs"])
+def test_exit_code_2_on_sweep_value_outside_the_domain(tmp_path, capsys,
+                                                       command, cfg, name,
+                                                       value):
+    """A sweep value that [params] would reject is a config error too; the
+    message names [sweep] and the first such value."""
+    assert f"parameter = {name}" in cfg
+    rc = main([command, "--config", write_cfg(tmp_path, cfg)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == (f"[sweep] {name} = {value}: "
+                              f"{name} must be positive")
 
 
 # ---------------------------------------------------------------------------
