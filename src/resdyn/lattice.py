@@ -28,6 +28,7 @@ from .errors import (
     NoResonance,
     NoSignChange,
     QuadratureError,
+    ToleranceNotMet,
     Unclassifiable,
     Underflow,
     ValidityWarning,
@@ -42,8 +43,11 @@ from .kernel import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Quadrature tolerances of the direct contour (``survival_direct``)
-    and of the Friedrichs cut; the component series needs none."""
+    """Tolerances of the two independent totals: the direct contour
+    (``survival_direct``) stops once two successive trapezoid sums of a
+    time agree within abs_tol + rel_tol |A(t)|, and the Friedrichs cut
+    quadrature once its GK15 error estimate is below
+    max(abs_tol, rel_tol |value|).  The component series needs none."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
@@ -208,7 +212,10 @@ def discrete_spectrum(params):
     where one root grows without bound as the leading coefficient vanishes.
     Weights follow from residues of the resolvent matrix elements:
     W_n = 1/(h(lam_n) f'(lam_n)), w_n = b g^2 W_n / lam_n, and the d1-d2
-    channel q_n = -g b/(lam_n f'(lam_n)).  Since f = b^2 P/lam^2 with
+    channel q_n = -g b/(lam_n f'(lam_n)).  At a root h(lam_n) = E_n - eps1
+    and its partner E_n - eps2 + lam_n T multiply to g^2; where h is the
+    smaller it is O(g^2) and is taken as g^2 over the partner, so the
+    weights keep their digits at weak coupling.  Since f = b^2 P/lam^2 with
     P = c_lead prod_m (lam - lam_m), f'(lam_n) = b^2 c_lead prod_{m != n}
     (lam_n - lam_m) / lam_n^2: the root differences keep their digits up to
     the exceptional point, where f' from the coefficients cancels.  A real
@@ -256,7 +263,13 @@ def discrete_spectrum(params):
             [lam - other for m, other in enumerate(roots) if m != n])) / lam ** 2
         if lam.imag == 0:
             fp = fp.real
-        w_big = 1.0 / (h_lambda(params, lam) * fp)
+        # the smaller of the two factors of g^2 loses its digits to the
+        # subtraction
+        h = energy - params.eps1
+        partner = energy - params.eps2 + lam * params.lead_coupling
+        if abs(h) < abs(partner):
+            h = g * g / partner
+        w_big = 1.0 / (h * fp)
         w = b * g * g * w_big / lam
         dyad = (1.0 / lam - lam) * w
         q = -g * b / (lam * fp)
@@ -319,17 +332,6 @@ def _grid_quad(integrand, pts, times, tol, what):
                 integrand(chunk), pts, abs_tol=tol.abs_tol,
                 rel_tol=tol.rel_tol).value
     return out
-
-
-def _panel_edges(edges, period):
-    """Panel edges that split every segment [edges[k], edges[k+1]] of an
-    ascending array into n_k = max(1, ceil(width_k/period)) equal panels,
-    at edges[k] + j*(width_k/n_k): the arithmetic of np.linspace."""
-    width = np.diff(edges)
-    n = np.maximum(1, np.ceil(width / period)).astype(int)
-    seg = np.repeat(np.arange(len(n)), n)
-    j = np.arange(len(seg)) - np.repeat(np.cumsum(n) - n, n)
-    return np.append(edges[seg] + j * (width / n)[seg], edges[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +491,153 @@ def theta_amplitude(spectrum, theta_state, n, t):
     return sum(rows) if n == "total" else rows[n]
 
 
+# a pole at distance d from the real k axis costs the trapezoid rule on M
+# nodes of the circle an error of about e^{-M d}: the rule resolves it once
+# M d passes this
+_RESOLVED = 40.0
+# ratio of the widths of consecutive bumps in a pole's ladder
+_RUNG = 16.0
+# the most nodes of [0, pi] the direct contour takes before it gives up
+_MAX_NODES = 1 << 20
+_EPS = np.finfo(float).eps
+
+
+def _wrap(angle):
+    """angle - 2 pi for angles above pi: differences of two angles in
+    [-pi, pi] brought into [-pi, pi], where 2 pi - 2 pi is exactly 0."""
+    return np.where(angle > np.pi, angle - 2.0 * np.pi, angle)
+
+
+def _node_map(theta, d):
+    """phi and phi' of the direct contour's node-density map, with bumps of
+    widths ``d`` at the angles ``theta`` in [0, pi].
+
+    The density in k is 1 + sum_n [P_n(k - theta_n) + P_n(k + theta_n)]/2,
+    with P_n(u) = sinh d_n / (2 sinh^2(d_n/2) + 2 sin^2(u/2)) the Poisson
+    kernel (never cosh d - cos u, which loses every digit once d and u are
+    small), and phi is its integral from 0 over its integral on [0, pi]:
+
+        phi(k) = k + sum_n [a_n(k - theta_n) + a_n(k + theta_n)] / (1 + #n),
+        a(u) = atan2(c sin(u/2) cos(u/2), 1 + c sin^2(u/2)),
+        c = coth(d/2) - 1 = 2/expm1(d).
+
+    phi is odd, phi(pi) = pi and phi' >= 1/(1 + #n); with no bumps it is
+    the identity.  A node is k = centre + u, with u exact next to its
+    centre, so ``warp(centre)(u)`` resolves bumps far narrower than the
+    spacing of floats at k.
+    """
+    # the arguments of atan2 divided by c, and those of P by 2
+    inv_c = np.tile(0.5 * np.expm1(d), 2)
+    half_sinh = np.tile(0.5 * np.sinh(d), 2)
+    half_floor = np.tile(np.sinh(0.5 * d) ** 2, 2)
+    scale = 1.0 + len(d)
+
+    def warp(centre):
+        # half the angles from the bumps at theta and at -theta
+        half = 0.5 * np.concatenate(
+            (centre[:, None] - theta, _wrap(centre[:, None] + theta)), axis=1)
+
+        def phi(u):
+            angle = half + 0.5 * u[:, None]
+            half_sin = np.sin(angle)
+            sin2 = half_sin * half_sin
+            turn = np.arctan2(half_sin * np.cos(angle), inv_c + sin2)
+            density = half_sinh / (half_floor + sin2)
+            return (centre + u + turn.sum(axis=1) / scale,
+                    (1.0 + 0.5 * density.sum(axis=1)) / scale)
+
+        return phi
+
+    return warp
+
+
+def _nearest(centres, k):
+    """The nearest of the ascending ``centres`` to each k."""
+    i = np.clip(np.searchsorted(centres, k), 1, len(centres) - 1)
+    return np.where(k - centres[i - 1] <= centres[i] - k,
+                    centres[i - 1], centres[i])
+
+
+def _guide(warp, centres, ends, theta, d):
+    """Knots (rows centre, u, phi, phi') for ``_place`` to start from: the
+    ``ends`` at k = 0 and pi, 31 even points between them and, about each
+    bump centre, the offsets +-d 2^j from its narrowest width d up to pi."""
+    even = np.linspace(0.0, np.pi, 33)[1:-1]
+    centre = [_nearest(centres, even)]
+    u = [even - centre[0]]
+    for c in set(theta.tolist()):
+        narrowest = d[theta == c].min()
+        offset = narrowest * 2.0 ** np.arange(np.ceil(np.log2(np.pi / narrowest)))
+        offset = np.concatenate((-offset, offset))
+        offset = offset[(c + offset > 0.0) & (c + offset < np.pi)]
+        centre.append(np.full(len(offset), c))
+        u.append(offset)
+    centre, u = np.concatenate(centre), np.concatenate(u)
+    order = np.argsort(centre + u)
+    inner = np.array([centre[order], u[order], u[order], u[order]])
+    inner[2], inner[3] = warp(inner[0])(inner[1])
+    # phi rounds: keep the knots strictly inside (0, pi) on which it rises
+    inner = inner[:, (inner[2] > 0.0) & (inner[2] < np.pi)]
+    inner = inner[:, np.concatenate(
+        ([True], inner[2, 1:] > np.maximum.accumulate(inner[2])[:-1]))]
+    return np.concatenate((ends[:, :1], inner, ends[:, 1:]), axis=1)
+
+
+def _place(warp, centres, knots, target):
+    """Nodes (rows centre, u, phi, phi') at the phi in ``target``, which lie
+    within the phi of the ascending ``knots`` (the same rows).
+
+    A node takes the nearest of ``centres`` and is found by Newton's method
+    in u from the cubic Hermite guess between the two knots about it,
+    falling back on bisection whenever a step leaves their bracket.
+    """
+    i = np.searchsorted(knots[2], target)
+    left, right = knots[:, i - 1], knots[:, i]
+    gap = right[2] - left[2]
+    frac = (target - left[2]) / gap
+    k = left[0] + left[1] + frac * ((right[0] + right[1]) - (left[0] + left[1]))
+    centre = _nearest(centres, k)
+    phi = warp(centre)
+    lo = (left[0] - centre) + left[1]
+    hi = (right[0] - centre) + right[1]
+    rise = frac * frac * (3.0 - 2.0 * frac)
+    u = np.clip(lo + rise * (hi - lo) + gap * frac * (1.0 - frac)
+                * ((1.0 - frac) / left[3] - frac / right[3]), lo, hi)
+    for _ in range(64):
+        value, slope = phi(u)
+        miss = value - target
+        lo = np.where(miss < 0.0, u, lo)
+        hi = np.where(miss > 0.0, u, hi)
+        step = u - miss / slope
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        # a node is placed once phi meets its target to rounding, or once
+        # Newton's step is below rounding in u
+        if np.all((np.abs(miss) <= 8.0 * _EPS * np.pi)
+                  | (np.abs(step - u) <= 4.0 * _EPS * np.abs(u))):
+            break
+        u = step
+    return np.array([centre, u, target, slope])
+
+
+def _interleave(nodes, new):
+    """The columns of ``nodes`` with those of ``new`` between them."""
+    out = np.empty((len(nodes), nodes.shape[1] + new.shape[1]))
+    out[:, 0::2], out[:, 1::2] = nodes, new
+    return out
+
+
+def _phase_sums(k, weights, x):
+    """sum_j weights_j e^{i x cos k_j} for every x, in blocks of at most
+    _BLOCK nodes x times."""
+    out = np.zeros(len(x), dtype=complex)
+    rows = max(1, _BLOCK // len(x))
+    for start in range(0, len(k), rows):
+        phase = np.outer(x, np.cos(k[start:start + rows]))
+        w = weights[start:start + rows]
+        out += np.cos(phase) @ w + 1j * (np.sin(phase) @ w)
+    return out
+
+
 def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     """A(t) = <d1|e^{-iHt}|d1> from bound-pole residues plus the unit-circle
     integral of the partial-fraction contour integrand.
@@ -498,56 +647,127 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     the same reason the states and weights come in conjugate pairs, so the
     integrand f at -k is the mirror of f at k and the circle folds onto
     [0, pi]: f(k) + f(-k) = -(2bg^2/pi) sin k Im sum_n W_n/(e^{ik} - lam_n)
-    e^{2ibt cos k}, a real t-independent factor times a phase.  Only that
-    phase depends on t, so the times are grouped by octave of 2b|t| and
-    each group is one vector-valued quadrature on the panel edges its
-    largest |t| needs; 2b|t| <= 8 is one group.
+    e^{2ibt cos k}, a real t-independent density times a phase.
+
+    Before the fold the integrand is smooth and 2 pi-periodic, with poles
+    at k = arg lam_n +- i d_n, d_n = |ln|lam_n||, so the trapezoid rule on
+    M nodes of the circle converges like e^{-M d} once M passes the
+    oscillation count 2b|t| (Trefethen & Weideman, SIAM Rev. 56, 385
+    (2014)).  On [0, pi] that rule has the nodes k_j = j pi/m and no
+    endpoint terms, since sin k vanishes there.  It starts at the power of
+    two m >= (x + 12 x^{1/3} + 40)/2, x = 2b max|t|, where the aliased
+    Bessel terms J_2m(x) are below 1e-17, and doubles m, reusing every
+    node, until two successive sums of a time agree within
+    abs_tol + rel_tol |A(t)|; converged times drop out.  Successive sums
+    that agree to their own rounding (8 eps sum_j |terms|) with the
+    tolerance still below it, or a rule that would pass _MAX_NODES nodes,
+    raise ToleranceNotMet.
+
+    A pole that the plain start leaves unresolved (2m d_n < _RESOLVED)
+    gets nodes of its own through ``_node_map``: a ladder of bumps of
+    widths d_n, 16 d_n, 256 d_n, ... below the narrowest width that start
+    resolves.  One bump of width d alone puts a branch point of k(phi)
+    about sqrt(d) from the real axis, so the rule would need about
+    20/sqrt(d) nodes; the ladder needs a few per rung.  The rule then runs
+    on the uniform phi_j with the integrand divided by phi'(k), and x
+    counts 1 + #bumps times over, as the map thins the nodes away from its
+    bumps by up to that factor.  Nodes are held relative to the nearest
+    bump centre and the density is summed relative to each pole, as
+    W_n e^{-i arg lam_n}/(e^{iv} - |lam_n|) with v = k - arg lam_n, so both
+    keep their digits next to a pole within 1e-9 of the circle.  Nodes,
+    weights and phases are made in blocks of at most _BLOCK values.
     """
     grid, scalar = _time_grid(t)
     times, inverse = np.unique(np.abs(grid), return_inverse=True)
     s = spectrum if spectrum is not None else discrete_spectrum(params)
     b, g = params.b, params.g
-    bound_sum = sum(
-        st.dyad_phi * np.exp(-1j * st.energy * times)
-        for st in s.by_class(StateClass.BOUND)
-    )
+    bound_sum = np.zeros(len(times), dtype=complex)
+    for st in s.by_class(StateClass.BOUND):
+        bound_sum += st.dyad_phi * np.exp(-1j * st.energy * times)
     lams = np.array([st.lam for st in s.states])
-    w_big = np.array([st.weight_w * st.lam / (b * g * g) for st in s.states])
+    arg, radius = np.angle(lams), np.abs(lams)
+    w_turned = (np.array([st.weight_w * st.lam / (b * g * g) for st in s.states])
+                * np.exp(-1j * arg))
 
-    def integrand(tc):
-        def f(k):
-            # f(k) + f(-k); at t = 0 this is the positive scattering-state
-            # density sum_a |<d1|phi_ka>|^2 / pi on the band
-            lam = np.exp(1j * k)
-            frac = (w_big[None, :] / (lam[:, None] - lams[None, :])).sum(axis=1)
-            density = (-2.0 * b * g * g / np.pi) * np.sin(k) * frac.imag
-            phase = np.outer(np.cos(k), 2.0 * b * tc)
-            return density[:, None] * (np.cos(phase) + 1j * np.sin(phase))
+    def weights(nodes):
+        # (f(k) + f(-k)) / phi'(k) at t = 0, where f(k) + f(-k) is the
+        # positive scattering-state density sum_a |<d1|phi_ka>|^2 / pi
+        centre, u, _, slope = nodes
+        half = 0.5 * (_wrap(centre[:, None] - arg) + u[:, None])
+        half_sin, half_cos = np.sin(half), np.cos(half)
+        # e^{iv} - |lam| = i sin v - (2 sin^2(v/2) + |lam| - 1)
+        gap = (2j * half_sin * half_cos
+               - (2.0 * half_sin * half_sin + (radius - 1.0)))
+        sin_k = np.sin(centre) * np.cos(u) + np.cos(centre) * np.sin(u)
+        return ((-2.0 * b * g * g / np.pi) * sin_k
+                * (w_turned / gap).sum(axis=1).imag / slope)
 
-        return f
+    x = 2.0 * b * times
+    x_max = x.max(initial=0.0)
+    width = np.abs(np.log(radius))
+    widest = _RESOLVED / (x_max + 12.0 * np.cbrt(x_max) + 40.0)
+    # a conjugate pair shares its poles: one ladder for both
+    near = (width < widest) & (arg >= 0.0)
+    rungs = np.ceil(np.log(widest / width[near]) / np.log(_RUNG)).astype(int)
+    first = np.repeat(np.cumsum(rungs) - rungs, rungs)
+    theta = np.repeat(arg[near], rungs)
+    spread = np.repeat(width[near], rungs) * _RUNG ** (np.arange(len(first)) - first)
+    warp = _node_map(theta, spread)
+    centres = np.array(sorted({0.0, np.pi, *theta.tolist()}))
+    block = _BLOCK // (2 * len(spread) + len(lams) + 1)
+    x_max *= 1 + len(spread)
+    m = 1 << int(np.ceil(np.log2((x_max + 12.0 * np.cbrt(x_max) + 40.0) / 2.0)))
 
-    extra = [abs(float(np.angle(st.lam))) for st in s.states
-             if st.state_class in (StateClass.RESONANT, StateClass.ANTI_RESONANT)]
-    # a real root puts a peak of width |ln|lam|| at k = 0 (lam > 0) or pi,
-    # an edge of every panel set.  On the full circle the odd part of the
-    # integrand showed it to the error estimate; the fold cancels that part,
-    # so the panels are graded towards the peak by factors of 4 from its width
-    peaks = [(0.0 if st.lam.real > 0 else np.pi, abs(np.log(abs(st.lam))))
-             for st in s.states
-             if st.state_class in (StateClass.BOUND, StateClass.ANTI_BOUND)]
-    circle = np.empty(len(times), dtype=complex)
-    for idx in _octave_groups(np.maximum(1.0, 2.0 * b * times / 8.0)):
-        tg = times[idx]
-        spacing = np.pi / max(8.0, 2.0 * b * tg.max())
-        graded = [abs(end - width * 4.0 ** np.arange(
-                      max(0.0, np.ceil(np.log2(spacing / width) / 2.0))))
-                  for end, width in peaks]
-        # the sorted union by hand: np.union1d imports numpy.ma on first use
-        pts = np.sort(np.concatenate(
-            [_panel_edges(np.array([0.0, np.pi]), spacing), extra, *graded]))
-        pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
-        circle[idx] = _grid_quad(integrand, pts, tg, tol, "direct contour")
-    total = (bound_sum + circle)[inverse]
+    def fail(which, why):
+        with _quadrature_context("direct contour", times[which].min(),
+                                 times[which].max(), tol):
+            raise ToleranceNotMet(why, result=(bound_sum + value)[which])
+
+    def level(knots, target, active):
+        # the nodes at ``target``, their phase sums for the active times
+        # and the sum of their |weights|
+        parts, sums, mass = [], np.zeros(len(active), dtype=complex), 0.0
+        for start in range(0, len(target), block):
+            new = _place(warp, centres, knots, target[start:start + block])
+            weight = weights(new)
+            sums += _phase_sums(new[0] + new[1], weight, x[active])
+            mass += np.abs(weight).sum()
+            parts.append(new)
+        return np.concatenate(parts, axis=1), sums, mass
+
+    value = np.zeros(len(times), dtype=complex)
+    active = np.arange(len(times))
+    if 2 * m > _MAX_NODES:
+        fail(active, f"the rule would start on {m - 1} nodes")
+    # the knots at k = 0 and pi (rows centre, u, phi, phi')
+    ends = np.array([[0.0, np.pi], [0.0, 0.0], [0.0, np.pi], [0.0, 0.0]])
+    ends[3] = warp(ends[0])(ends[1])[1]
+    inner, raw, mass = level(_guide(warp, centres, ends, theta, spread),
+                             np.arange(1, m) * (np.pi / m), active)
+    nodes = np.concatenate((ends[:, :1], inner, ends[:, 1:]), axis=1)
+    value = raw * (np.pi / m)
+    while True:
+        new, sums, more = level(nodes, (np.arange(m) + 0.5) * (np.pi / m), active)
+        raw[active] += sums
+        mass += more
+        nodes = _interleave(nodes, new)
+        m *= 2
+        estimate = raw[active] * (np.pi / m)
+        # no tolerance below the rounding of the sums can be certified
+        floor = 8.0 * _EPS * mass * (np.pi / m)
+        miss = np.maximum(np.abs(estimate - value[active]), floor)
+        allowed = tol.abs_tol + tol.rel_tol * np.abs(bound_sum[active] + estimate)
+        value[active] = estimate
+        stuck = (miss == floor) & (floor > allowed)
+        if np.any(stuck):
+            fail(active[stuck], f"successive sums agree to their rounding, "
+                                f"{floor:.2g}, on {m - 1} nodes")
+        active = active[miss > allowed]
+        if not len(active):
+            break
+        if 2 * m > _MAX_NODES:
+            fail(active, f"successive sums still differ on {m - 1} nodes")
+    total = (bound_sum + value)[inverse]
     total = np.where(grid < 0, np.conj(total), total)
     return complex(total[0]) if scalar else total
 
