@@ -698,7 +698,12 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
         # e^{iv} - |lam| = i sin v - (2 sin^2(v/2) + |lam| - 1)
         gap = (2j * half_sin * half_cos
                - (2.0 * half_sin * half_sin + (radius - 1.0)))
-        sin_k = np.sin(centre) * np.cos(u) + np.cos(centre) * np.sin(u)
+        # the centre pi stands for the band edge itself, where sin k
+        # vanishes and a negative real root's pole sits; sin(float pi) =
+        # 1.2e-16 would shift that zero off the pole, an error of about
+        # |W| eps |ln d| (2.4e-14 at d = 1e-6)
+        sin_c = np.where(centre == np.pi, 0.0, np.sin(centre))
+        sin_k = sin_c * np.cos(u) + np.cos(centre) * np.sin(u)
         return ((-2.0 * b * g * g / np.pi) * sin_k
                 * (w_turned / gap).sum(axis=1).imag / slope)
 

@@ -135,6 +135,16 @@ def test_narrow_resonance_at_a_tight_tolerance(g):
     assert np.max(np.abs(direct - _oracle(params))) <= 2e-14
 
 
+def test_negative_real_root_at_the_band_edge():
+    # a bound root 1e-6 inside -1 next to an anti-bound one, weights +-28:
+    # sin k must vanish at the root's own angle, or the contour misses by
+    # 2.4e-14; the oracle is exact to 4e-15 here
+    params = _band_edge(1.0, 0.0, 0.4, 0.5, 0.5, -1.0, -1.0, -6.0)
+    spectrum = discrete_spectrum(params)
+    direct = survival_direct(params, TIMES, spectrum=spectrum)
+    assert np.max(np.abs(direct - _oracle(params))) <= 1e-14
+
+
 FIG6A_TIMES = np.linspace(-10.0, 10.0, 401)
 
 
