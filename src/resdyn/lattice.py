@@ -526,11 +526,13 @@ def _node_map(theta, d):
     centre, so ``warp(centre)(u)`` resolves bumps far narrower than the
     spacing of floats at k.
     """
-    # the arguments of atan2 divided by c, and those of P by 2
-    inv_c = np.tile(0.5 * np.expm1(d), 2)
-    half_sinh = np.tile(0.5 * np.sinh(d), 2)
-    half_floor = np.tile(np.sinh(0.5 * d) ** 2, 2)
     scale = 1.0 + len(d)
+    # one column per bump at theta, then per bump at -theta; the arguments
+    # of atan2 are divided by c, and those of P by 2
+    d = np.concatenate((d, d))
+    inv_c = 0.5 * np.expm1(d)
+    half_sinh = 0.5 * np.sinh(d)
+    half_floor = np.sinh(0.5 * d) ** 2
 
     def warp(centre):
         # half the angles from the bumps at theta and at -theta
@@ -553,7 +555,7 @@ def _node_map(theta, d):
 
 def _nearest(centres, k):
     """The nearest of the ascending ``centres`` to each k."""
-    i = np.clip(np.searchsorted(centres, k), 1, len(centres) - 1)
+    i = np.searchsorted(centres[1:-1], k) + 1
     return np.where(k - centres[i - 1] <= centres[i] - k,
                     centres[i - 1], centres[i])
 
@@ -601,8 +603,8 @@ def _place(warp, centres, knots, target):
     lo = (left[0] - centre) + left[1]
     hi = (right[0] - centre) + right[1]
     rise = frac * frac * (3.0 - 2.0 * frac)
-    u = np.clip(lo + rise * (hi - lo) + gap * frac * (1.0 - frac)
-                * ((1.0 - frac) / left[3] - frac / right[3]), lo, hi)
+    u = np.minimum(np.maximum(lo + rise * (hi - lo) + gap * frac * (1.0 - frac)
+                              * ((1.0 - frac) / left[3] - frac / right[3]), lo), hi)
     for _ in range(64):
         value, slope = phi(u)
         miss = value - target
@@ -669,9 +671,10 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     resolves.  One bump of width d alone puts a branch point of k(phi)
     about sqrt(d) from the real axis, so the rule would need about
     20/sqrt(d) nodes; the ladder needs a few per rung.  The rule then runs
-    on the uniform phi_j with the integrand divided by phi'(k), and x
-    counts 1 + #bumps times over, as the map thins the nodes away from its
-    bumps by up to that factor.  Nodes are held relative to the nearest
+    on the uniform phi_j with the integrand divided by phi'(k); x counts
+    1 + #bumps times over, as the map thins the nodes away from its bumps
+    by up to that factor, and the start has at least 16 nodes per bump
+    (with fewer, 4 and 5 bumps needed a third level on short grids).  Nodes are held relative to the nearest
     bump centre and the density is summed relative to each pole, as
     W_n e^{-i arg lam_n}/(e^{iv} - |lam_n|) with v = k - arg lam_n, so both
     keep their digits next to a pole within 1e-9 of the circle.  Nodes,
@@ -721,7 +724,8 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     centres = np.array(sorted({0.0, np.pi, *theta.tolist()}))
     block = _BLOCK // (2 * len(spread) + len(lams) + 1)
     x_max *= 1 + len(spread)
-    m = 1 << int(np.ceil(np.log2((x_max + 12.0 * np.cbrt(x_max) + 40.0) / 2.0)))
+    m = max((x_max + 12.0 * np.cbrt(x_max) + 40.0) / 2.0, 16.0 * (1 + len(spread)))
+    m = 1 << int(np.ceil(np.log2(m)))
 
     def fail(which, why):
         with _quadrature_context("direct contour", times[which].min(),
