@@ -43,6 +43,7 @@ from .lattice import (  # noqa: E402
     amplitude_grid,
     classify,
     component_chi,
+    discrete_spectra,
     discrete_spectrum,
     ep_locate,
     f_lambda,
@@ -85,6 +86,7 @@ __all__ = [
     "build_hamiltonian",
     "classify",
     "component_chi",
+    "discrete_spectra",
     "discrete_spectrum",
     "ep_locate",
     "f_lambda",

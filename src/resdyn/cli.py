@@ -260,13 +260,11 @@ def _state_record(state):
 
 def cmd_spectrum(config, args):
     values = [None] if config.sweep_parameter is None else config.sweep_values
-
-    def one(value):
-        spectrum = lat.discrete_spectrum(
-            config.params if value is None else _swept_params(config, value))
-        return [_state_record(s) for s in spectrum.states], spectrum.flags
-
-    results = [one(value) for value in values]
+    spectra = lat.discrete_spectra(
+        config.params if value is None else _swept_params(config, value)
+        for value in values)
+    results = [([_state_record(s) for s in spectrum.states], spectrum.flags)
+               for spectrum in spectra]
     if config.out_format == "json":
         payload = []
         for value, (recs, flags) in zip(values, results):

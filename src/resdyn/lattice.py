@@ -34,9 +34,11 @@ from .errors import (
     ValidityWarning,
 )
 from .kernel import (
+    accept_roots,
+    batch_roots,
     bessel_j1,  # noqa: F401  (bench/spans.py traces the kernel here)
     piecewise_quad,
-    poly_roots,
+    poly_roots,  # noqa: F401  (likewise)
     upper_gamma_mhalf,  # noqa: F401  (likewise)
 )
 
@@ -204,12 +206,31 @@ def classify(lam, energy, tol=1e-9):
 
 
 def discrete_spectrum(params):
-    """Roots of the quartic plus residue weights, classified.
+    """The discrete spectrum of one parameter set: ``discrete_spectra`` of a
+    batch of one."""
+    return discrete_spectra([params])[0]
+
+
+def _dropped_leading(coeffs):
+    """The coefficients without the leading ones at or below 1e-12 of the
+    largest; c0 = 1 always stays."""
+    scale = max(abs(c) for c in coeffs)
+    while abs(coeffs[-1]) <= 1e-12 * scale:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def discrete_spectra(params_seq):
+    """Roots of the quartic plus residue weights, classified, for each
+    parameter set in turn; one ``Spectrum`` per set.
 
     The roots are companion-matrix eigenvalues with a Newton polish, each
     an exact root of the quartic with coefficients perturbed by at most
     1e-10 relative (``kernel.roots.BACKWARD_TOL``), also next to T = b,
     where one root grows without bound as the leading coefficient vanishes.
+    The sets whose polynomials share a degree share one stacked solve;
+    the checks, warnings and errors then follow set by set, so the first
+    set that fails raises after the sets before it have warned.
     Weights follow from residues of the resolvent matrix elements:
     W_n = 1/(h(lam_n) f'(lam_n)), w_n = b g^2 W_n / lam_n, and the d1-d2
     channel q_n = -g b/(lam_n f'(lam_n)).  At a root h(lam_n) = E_n - eps1
@@ -224,15 +245,26 @@ def discrete_spectrum(params):
     at or below 1e-12 of the largest is dropped, each with the root that
     grows without bound as it vanishes.  With no coefficient left but c0
     (next to b = g = T, eps1 = eps2 = 0) no state remains, and NoResonance
-    is raised.
+    is raised.  g = 0 raises DomainError.
     """
+    params_seq = list(params_seq)
+    polys = [_dropped_leading(p4_coefficients(p)) for p in params_seq]
+    solved = [None] * len(polys)
+    for length in {len(c) for c in polys} - {1}:
+        rows = [i for i, c in enumerate(polys) if len(c) == length]
+        roots, worst = batch_roots([polys[i] for i in rows])
+        for k, i in enumerate(rows):
+            solved[i] = roots[k], worst[k]
+    return [_spectrum(params, coeffs, row)
+            for params, coeffs, row in zip(params_seq, polys, solved)]
+
+
+def _spectrum(params, coeffs, row):
+    """The Spectrum of one set from its dropped coefficients and its row
+    of ``batch_roots``."""
     if params.g == 0:
         raise DomainError("g = 0 decouples d1; residue weights are undefined")
-    coeffs = p4_coefficients(params)
-    scale = max(abs(c) for c in coeffs)
     flags = []
-    while abs(coeffs[-1]) <= 1e-12 * scale:  # c0 = 1 ends the loop
-        coeffs = coeffs[:-1]
     if len(coeffs) == 1:
         # the dropped roots would carry all of sum_n w_n/lam_n = 1
         raise NoResonance("the quartic is constant to 1e-12 (d1, d2 and the "
@@ -242,7 +274,7 @@ def discrete_spectrum(params):
         flags.append("degenerate-lead-coupling")
         warnings.warn(f"lead coupling lowers the quartic to degree {degree}; "
                       f"{degree} states", DegenerateLeadCoupling)
-    roots = poly_roots(coeffs)
+    roots = accept_roots(*row)
 
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):

@@ -7,19 +7,35 @@ quadrature the defining integrals directly, the root tracker continues
 an eigenvalue branch step by step instead of using the closed forms, the
 Friedrichs branch search picks the erfc square-root branches by comparison
 with the defining integral instead of the derived rule, the Friedrichs
-pole sum is redone at 40 digits with mpmath's roots and erfc, and the
+pole sum is redone at 40 digits with mpmath's roots and erfc, the
 truncated-lattice amplitudes come from scipy's expm_multiply instead of a
-Chebyshev expansion.
+Chebyshev expansion, and the polynomial roots are found one polynomial at a
+time with numpy.polynomial instead of in a stacked batch.
 """
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyroots, polyval
 from scipy import integrate, sparse, special
 from scipy.sparse.linalg import expm_multiply
 
 from resdyn.friedrichs import _cut_main_breakpoints, _fm7_value, _tail_rotated
 from resdyn.kernel import piecewise_quad
 from resdyn.lattice import f_lambda, h_lambda
+
+
+def polished_roots(coefficients):
+    """The roots of one real polynomial: numpy's polyroots, then two Newton
+    steps with polyval, each kept where it lowers |p|; sorted by (Re, Im)."""
+    c = np.asarray(coefficients, dtype=float)
+    dc = polyder(c)
+    z = polyroots(c).astype(complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            trial = z - polyval(z, c) / polyval(z, dc)
+            better = np.abs(polyval(trial, c)) < np.abs(polyval(z, c))
+            z = np.where(better, trial, z)
+    return z[np.lexsort((z.imag, z.real))]
 
 
 def j1_power_series(x, terms=80):

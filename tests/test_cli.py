@@ -783,6 +783,7 @@ runs = [["friedrichs", "--recipe", "fig11"], ["survival", "--recipe", "fig6a"],
         ["oracle-check", "--config", cfg]]
 codes = [cli.main(argv + ["--out", f"{out}/{i}"]) for i, argv in enumerate(runs)]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      sorted(m for m in sys.modules if m.startswith("numpy.polynomial")),
       os.environ["OPENBLAS_NUM_THREADS"])
 """
 
@@ -790,8 +791,10 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
 @pytest.mark.parametrize("blas_threads", [None, "2"])
 def test_cli_runs_on_numpy_alone(tmp_path, monkeypatch, blas_threads):
     """Importing the package and running every model's commands, the oracle
-    included, loads no scipy module; the package, loading numpy, defaults
-    OpenBLAS to one thread unless the environment sets it."""
+    included, loads no scipy module and no numpy.polynomial module (the
+    roots of fig2's quartics and fig11's cubic come from stacked companion
+    matrices); the package, loading numpy, defaults OpenBLAS to one thread
+    unless the environment sets it."""
     import resdyn
 
     if blas_threads is None:
@@ -808,4 +811,4 @@ def test_cli_runs_on_numpy_alone(tmp_path, monkeypatch, blas_threads):
          write_cfg(tmp_path, cfg)],
         capture_output=True, text=True, check=True,
         cwd=str(Path(resdyn.__file__).parents[1]))
-    assert out.stdout.strip() == f"[0, 0, 0, 0, 0] [] {blas_threads or 1}"
+    assert out.stdout.strip() == f"[0, 0, 0, 0, 0] [] [] {blas_threads or 1}"

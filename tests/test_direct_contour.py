@@ -34,8 +34,8 @@ from conftest import FIG9_PARAMS
 TIMES = np.linspace(-20.0, 20.0, 41)
 
 
-def _oracle(params):
-    return propagate(build_hamiltonian(params, 60), TIMES).amplitudes["d1"]
+def _oracle(params, row="d1"):
+    return propagate(build_hamiltonian(params, 60), TIMES).amplitudes[row]
 
 
 def _band_edge(b, eps2, g, t2l, t2r, sign, side, log_d):
@@ -113,14 +113,21 @@ def test_residue_weights_at_weak_coupling(g):
     # it has E - eps1 = O(g^2); the weights take that factor as g^2 over its
     # partner.  Formed by subtraction, it gave defects of 1.0e-10 at g = 1e-3
     # and 2.0e-8 at g = 1e-5.  The remaining miss is the oracle's rounding:
-    # the two expansions agree with each other to 6e-16
+    # the two expansions agree with each other to 6e-16.  The d1-d2 weights
+    # q_n = -g b/(lam_n f'(lam_n)) have no factor O(g^2) to lose: the
+    # <d1|e^{-iHt}|d2> they expand misses the oracle's d2 row by at most
+    # 1.5e-14 of its largest modulus, which is O(g)
     params = TDotParams(1.0, 2.112017, -1.790656, g, -0.756375, -1.169795)
     spectrum = discrete_spectrum(params)
     assert spectrum.completeness_defect() <= 2e-15
     chi = amplitude_grid(spectrum, TIMES).sum(axis=0)
-    assert np.max(np.abs(chi - _oracle(params))) <= 2.5e-14
+    assert np.max(np.abs(chi - _oracle(params))) <= 2e-14
     direct = survival_direct(params, TIMES, spectrum=spectrum)
     assert np.max(np.abs(direct - chi)) <= 2e-15
+    q = [s.weight_q for s in spectrum.states]
+    d2 = _oracle(params, "d2")
+    assert np.max(np.abs(amplitude_grid(spectrum, TIMES, q).sum(axis=0) - d2)) \
+        <= 1e-12 * np.max(np.abs(d2))
 
 
 @pytest.mark.parametrize("g", [1e-3, 1e-4])

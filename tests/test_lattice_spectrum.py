@@ -18,6 +18,7 @@ from resdyn.lattice import (
     StateClass,
     TDotParams,
     classify,
+    discrete_spectra,
     discrete_spectrum,
     ep_discriminant,
     ep_locate,
@@ -162,6 +163,65 @@ def test_near_degenerate_flag_close_to_ep():
     with pytest.warns(NearDegenerateSpectrum):
         s = discrete_spectrum(p)
     assert "near-degenerate" in s.flags
+
+
+def _one_at_a_time(params_seq):
+    """discrete_spectrum of each set in turn: (spectra, error, warnings),
+    stopping at the first error."""
+    spectra, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for params in params_seq:
+                spectra.append(discrete_spectrum(params))
+        except Exception as exc:
+            error = exc
+    return spectra, error, [(w.category, str(w.message)) for w in caught]
+
+
+def _batched(params_seq):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            spectra, error = discrete_spectra(params_seq), None
+        except Exception as exc:
+            spectra, error = [], exc
+    return spectra, error, [(w.category, str(w.message)) for w in caught]
+
+
+def test_ragged_batch_matches_one_set_at_a_time():
+    # t2r sweeps T = (t2l^2 + t2r^2)/b across b = 1 at t2r = 0.8: within
+    # 5e-13 of it the quartic drops to a cubic, so the batch solves sets of
+    # two degrees; the last set sits at the EP and warns of a near-degenerate
+    # pair
+    star = ep_locate(FIG9_PARAMS, -3.0, 0.0, tol=1e-15)
+    params = [TDotParams(1.0, 0.2, 0.1, 0.4, 0.6, t2r)
+              for t2r in (0.7, 0.8 - 1e-9, 0.8, 0.8 + 3e-13, 0.9, 0.8 - 3e-13)]
+    params.append(TDotParams(1.0, star, 0.0, 0.4, 1.0, 1.0))
+    spectra, error, caught = _batched(params)
+    assert error is None
+    assert [len(s.states) for s in spectra] == [4, 4, 3, 3, 4, 3, 4]
+    assert spectra[-1].flags == ("near-degenerate",)
+    assert (spectra, caught) == _one_at_a_time(params)[::2]
+
+
+@pytest.mark.parametrize("params, error", [
+    # g through 0 at T = b: the sets before it warn of the cubic
+    ([TDotParams(1.0, 0.2, 0.1, g, 1.0, 0.0) for g in (-0.2, -0.1, 0.0, 0.1)],
+     DomainError),
+    # g through b = T with eps1 = eps2 = 0: the quadratics before it warn,
+    # then the polynomial is constant (a uniform chain)
+    ([TDotParams(1.0, 0.0, 0.0, g, 1.0, 0.0) for g in (0.5, 0.8, 1.0, 1.2)],
+     NoResonance),
+], ids=["g=0", "uniform-chain"])
+def test_batch_raises_where_one_set_at_a_time_raises(params, error):
+    _spectra, batch_error, batch_caught = _batched(params)
+    done, loop_error, loop_caught = _one_at_a_time(params)
+    assert type(batch_error) is type(loop_error) is error
+    assert str(batch_error) == str(loop_error)
+    assert len(done) == 2
+    assert batch_caught == loop_caught
+    assert [category for category, _ in loop_caught] == [DegenerateLeadCoupling] * 2
 
 
 def test_random_spectra_completeness_and_pairing():

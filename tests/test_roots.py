@@ -1,12 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyfromroots, polyval
 
+from resdyn.cli import load_config, recipe_text
 from resdyn.errors import NonConvergence
-from resdyn.kernel.roots import BACKWARD_TOL, backward_errors, poly_roots
-from resdyn.lattice import p4_coefficients
+from resdyn.kernel.roots import (
+    BACKWARD_TOL,
+    backward_errors,
+    batch_roots,
+    poly_roots,
+)
+from resdyn.lattice import TDotParams, discrete_spectra, p4_coefficients
 
 from conftest import FIG9_PARAMS, LAM_R_REF
+from _oracles import polished_roots
 
 
 def test_roots_of_unity():
@@ -68,9 +77,36 @@ def test_multiplicity_is_preserved():
 def test_nonconvergence_carries_best_iterate(monkeypatch):
     # two Newton steps cannot recover roots that start 0.1 off
     true = np.array([10.1, -9.3, 8.7, -7.7, 6.9, -5.3])
-    monkeypatch.setattr("resdyn.kernel.roots.polyroots",
-                        lambda c: true + 0.1)
+    monkeypatch.setattr("resdyn.kernel.roots.companion_eigvals",
+                        lambda c: (true + 0.1)[None].astype(complex))
     with pytest.raises(NonConvergence) as err:
         poly_roots(polyfromroots(true))
     assert len(err.value.best) == len(true)
     assert err.value.residual > BACKWARD_TOL
+
+
+def _fig2_params():
+    config = load_config(recipe_text("fig2"))
+    return [dataclasses.replace(config.params, eps1=float(v))
+            for v in config.sweep_values]
+
+
+def _box_params():
+    # the general box of the T-dot domain
+    rng = np.random.default_rng(7)
+    return [TDotParams(1.0, *rng.uniform(-2.5, 2.5, 2), rng.uniform(0.05, 1.5),
+                       *rng.uniform(-1.6, 1.6, 2)) for _ in range(400)]
+
+
+@pytest.mark.parametrize("params", [_fig2_params(), _box_params()],
+                         ids=["fig2", "box"])
+def test_batch_gives_the_bits_of_one_polynomial_at_a_time(params):
+    rows = [p4_coefficients(p) for p in params]
+    roots, worst = batch_roots(rows)
+    assert np.all(worst <= BACKWARD_TOL)
+    for row, got in zip(rows, roots):
+        assert got.tobytes() == polished_roots(row).tobytes()
+    for spectrum, got in zip(discrete_spectra(params), roots):
+        lams = np.array(sorted((s.lam for s in spectrum.states),
+                               key=lambda z: (z.real, z.imag)))
+        assert lams.tobytes() == got.tobytes()
