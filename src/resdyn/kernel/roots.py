@@ -1,17 +1,15 @@
 """Roots of real polynomials from the eigenvalues of their companion matrices.
 
-The companion-matrix eigenvalues are backward stable in the coefficients
-(Edelman & Murakami, Math. Comp. 64, 763 (1995)); two Newton steps on the
-original coefficients then win back the digit the eigenvalue solve loses.
-The result is accepted on its pointwise relative backward error, which
-stays meaningful for the huge anti-bound root next to the quartic-to-cubic
-degeneracy, where a residual scaled by the coefficients would not.
-
-Every polynomial of one degree in a batch shares one stacked eigenvalue
-solve and one array pass per Newton step.  The companion matrix and the
-Horner recurrence are those of ``numpy.polynomial.polynomial`` (its
-``polycompanion`` and ``polyval``), operation for operation, so a batch
-gives each row the bits ``polyroots`` and ``polyval`` would.
+The eigenvalues are backward stable in the coefficients (Edelman &
+Murakami, Math. Comp. 64, 763 (1995)); two Newton steps on the original
+coefficients then win back the digit the eigenvalue solve loses.  The
+result is accepted on its pointwise relative backward error, which stays
+meaningful for the huge anti-bound root next to the quartic-to-cubic
+degeneracy, where a residual scaled by the coefficients would not.  The
+polynomials of one degree in a batch share one stacked eigenvalue solve;
+the companion matrix and Horner's rule follow numpy.polynomial's
+polycompanion and polyval operation for operation, so every root has the
+bits that polyroots and polyval give its polynomial alone.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ BACKWARD_TOL = 1e-10
 
 
 def _horner(c, z):
-    """sum_k c[..., k] z^k for each row of c at that row's points z, in
-    polyval's order of operations."""
+    """sum_k c[..., k] z^k, each row of c at its row of z."""
     value = c[..., -1:] + z * 0
     for i in range(2, c.shape[-1] + 1):
         value = c[..., -i, None] + value * z
@@ -34,24 +31,20 @@ def _horner(c, z):
 
 def backward_errors(coefficients, z):
     """|p(z)| / sum_k |c_k| |z|^k at each z: the relative coefficient
-    perturbation for which z is an exact root.  Rows of coefficients go
-    with rows of z."""
+    perturbation for which z is an exact root."""
     c = np.asarray(coefficients, dtype=float)
     scale = _horner(np.abs(c), np.abs(z))
     return np.abs(_horner(c, z)) / np.where(scale > 0, scale, 1.0)
 
 
-def companion_eigvals(coefficients):
-    """Eigenvalues of the companion matrix of each row of an (m, n + 1)
-    array of ascending coefficients (n >= 1), each row sorted by (Re, Im)."""
-    c = np.asarray(coefficients, dtype=float)
+def companion_eigvals(c):
+    """The companion-matrix eigenvalues of each row of c, sorted by (Re, Im)."""
     m, n = c.shape[0], c.shape[1] - 1
     mat = np.zeros((m, n, n))
     mat[:, np.arange(1, n), np.arange(n - 1)] = 1.0
     mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
     z = np.linalg.eigvals(mat).astype(complex)
-    # eigvals of a single matrix returns its eigenvalues as reals, with an
-    # imaginary part of +0, when all of them are real
+    # alone, a matrix with only real eigenvalues gives them an imaginary +0
     real_rows = np.all(z.imag == 0, axis=1)
     z[real_rows] = z[real_rows].real
     z.sort(axis=1)
@@ -59,14 +52,11 @@ def companion_eigvals(coefficients):
 
 
 def batch_roots(coefficients):
-    """Newton-polished roots of each row of an (m, n + 1) array of real
-    ascending coefficients with c_n != 0 and n >= 1.
-
-    Returns (roots, worst): roots is (m, n) complex, each row sorted by
-    (Re, Im), real roots with an imaginary part of exactly 0 and complex
-    ones in exact conjugate pairs; worst is each row's largest backward
-    error, for ``accept_roots``.
-    """
+    """The roots of each row of an (m, n + 1) array of real ascending
+    coefficients (n >= 1, c_n != 0), each row sorted by (Re, Im), and each
+    row's worst backward error, for ``accept_roots``.  Real roots have an
+    imaginary part of exactly 0 and complex roots come in exact conjugate
+    pairs."""
     c = np.asarray(coefficients, dtype=float)
     dc = c[:, 1:] * np.arange(1, c.shape[1])
     z = companion_eigvals(c)
@@ -74,17 +64,15 @@ def batch_roots(coefficients):
         for _ in range(2):
             value = _horner(c, z)
             trial = z - value / _horner(dc, z)
-            better = np.abs(_horner(c, trial)) < np.abs(value)
-            z = np.where(better, trial, z)
+            z = np.where(np.abs(_horner(c, trial)) < np.abs(value), trial, z)
     worst = np.max(backward_errors(c, z), axis=1, initial=0.0)
     order = np.lexsort((z.imag, z.real), axis=1)
     return np.take_along_axis(z, order, axis=1), worst
 
 
 def accept_roots(roots, worst):
-    """One row of ``batch_roots`` as a list of complex, or NonConvergence,
-    carrying the roots and the worst backward error, when that error
-    exceeds BACKWARD_TOL."""
+    """One row of ``batch_roots`` as a list, or NonConvergence, carrying
+    the roots and the worst backward error, when it exceeds BACKWARD_TOL."""
     worst = float(worst)
     if not worst <= BACKWARD_TOL:
         raise NonConvergence(
@@ -94,9 +82,7 @@ def accept_roots(roots, worst):
 
 
 def poly_roots(coefficients):
-    """All roots of the real polynomial sum_k c_k z^k, sorted by (Re, Im):
-    a batch of one (see ``batch_roots`` and ``accept_roots``)."""
-    c = np.trim_zeros(np.asarray(coefficients, dtype=float), "b")
-    if len(c) < 2:
-        return []
-    return accept_roots(*(row[0] for row in batch_roots(c[None])))
+    """All roots of the real polynomial sum_k c_k z^k (degree >= 1 with
+    c_n != 0), sorted by (Re, Im): a batch of one."""
+    roots, worst = batch_roots([coefficients])
+    return accept_roots(roots[0], worst[0])

@@ -213,9 +213,9 @@ def discrete_spectrum(params):
 
 def _dropped_leading(coeffs):
     """The coefficients without the leading ones at or below 1e-12 of the
-    largest; c0 = 1 always stays."""
+    largest."""
     scale = max(abs(c) for c in coeffs)
-    while abs(coeffs[-1]) <= 1e-12 * scale:
+    while abs(coeffs[-1]) <= 1e-12 * scale:  # c0 = 1 ends the loop
         coeffs = coeffs[:-1]
     return coeffs
 
@@ -249,19 +249,16 @@ def discrete_spectra(params_seq):
     """
     params_seq = list(params_seq)
     polys = [_dropped_leading(p4_coefficients(p)) for p in params_seq]
-    solved = [None] * len(polys)
+    solved = {}
     for length in {len(c) for c in polys} - {1}:
         rows = [i for i, c in enumerate(polys) if len(c) == length]
-        roots, worst = batch_roots([polys[i] for i in rows])
-        for k, i in enumerate(rows):
-            solved[i] = roots[k], worst[k]
-    return [_spectrum(params, coeffs, row)
-            for params, coeffs, row in zip(params_seq, polys, solved)]
+        solved.update(zip(rows, zip(*batch_roots([polys[i] for i in rows]))))
+    return [_spectrum(params, coeffs, solved.get(i))
+            for i, (params, coeffs) in enumerate(zip(params_seq, polys))]
 
 
 def _spectrum(params, coeffs, row):
-    """The Spectrum of one set from its dropped coefficients and its row
-    of ``batch_roots``."""
+    """One set's Spectrum from its coefficients and batch_roots row."""
     if params.g == 0:
         raise DomainError("g = 0 decouples d1; residue weights are undefined")
     flags = []
