@@ -5,11 +5,10 @@ Murakami, Math. Comp. 64, 763 (1995)); two Newton steps on the original
 coefficients then win back the digit the eigenvalue solve loses.  The
 result is accepted on its pointwise relative backward error, which stays
 meaningful for the huge anti-bound root next to the quartic-to-cubic
-degeneracy, where a residual scaled by the coefficients would not.  The
-polynomials of one degree in a batch share one stacked eigenvalue solve;
-the companion matrix and Horner's rule follow numpy.polynomial's
-polycompanion and polyval operation for operation, so every root has the
-bits that polyroots and polyval give its polynomial alone.
+degeneracy, where a residual scaled by the coefficients would not.  A
+batch shares one stacked eigenvalue solve per degree; the companion matrix
+and Horner's rule follow numpy.polynomial's polycompanion and polyval step
+for step, so every root has the bits of polyroots on its polynomial alone.
 """
 
 from __future__ import annotations
@@ -45,18 +44,16 @@ def companion_eigvals(c):
     mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
     z = np.linalg.eigvals(mat).astype(complex)
     # alone, a matrix with only real eigenvalues gives them an imaginary +0
-    real_rows = np.all(z.imag == 0, axis=1)
-    z[real_rows] = z[real_rows].real
+    z = np.where(np.all(z.imag == 0, axis=1, keepdims=True), z.real, z)
     z.sort(axis=1)
     return z
 
 
 def batch_roots(coefficients):
     """The roots of each row of an (m, n + 1) array of real ascending
-    coefficients (n >= 1, c_n != 0), each row sorted by (Re, Im), and each
-    row's worst backward error, for ``accept_roots``.  Real roots have an
-    imaginary part of exactly 0 and complex roots come in exact conjugate
-    pairs."""
+    coefficients (n >= 1, c_n != 0), sorted by (Re, Im), real ones with an
+    imaginary part of exactly 0 and complex ones in exact conjugate pairs,
+    and each row's worst backward error, for ``accept_roots``."""
     c = np.asarray(coefficients, dtype=float)
     dc = c[:, 1:] * np.arange(1, c.shape[1])
     z = companion_eigvals(c)
@@ -73,11 +70,10 @@ def batch_roots(coefficients):
 def accept_roots(roots, worst):
     """One row of ``batch_roots`` as a list, or NonConvergence, carrying
     the roots and the worst backward error, when it exceeds BACKWARD_TOL."""
-    worst = float(worst)
     if not worst <= BACKWARD_TOL:
         raise NonConvergence(
             f"root backward error {worst:.3e} exceeds {BACKWARD_TOL:.0e}",
-            best=list(roots), residual=worst)
+            best=list(roots), residual=float(worst))
     return [complex(r) for r in roots]
 
 

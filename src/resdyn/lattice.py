@@ -206,18 +206,8 @@ def classify(lam, energy, tol=1e-9):
 
 
 def discrete_spectrum(params):
-    """The discrete spectrum of one parameter set: ``discrete_spectra`` of a
-    batch of one."""
+    """The discrete spectrum of one parameter set (``discrete_spectra``)."""
     return discrete_spectra([params])[0]
-
-
-def _dropped_leading(coeffs):
-    """The coefficients without the leading ones at or below 1e-12 of the
-    largest."""
-    scale = max(abs(c) for c in coeffs)
-    while abs(coeffs[-1]) <= 1e-12 * scale:  # c0 = 1 ends the loop
-        coeffs = coeffs[:-1]
-    return coeffs
 
 
 def discrete_spectra(params_seq):
@@ -248,7 +238,11 @@ def discrete_spectra(params_seq):
     is raised.  g = 0 raises DomainError.
     """
     params_seq = list(params_seq)
-    polys = [_dropped_leading(p4_coefficients(p)) for p in params_seq]
+    polys = [p4_coefficients(p) for p in params_seq]
+    for coeffs in polys:
+        scale = max(abs(c) for c in coeffs)
+        while abs(coeffs[-1]) <= 1e-12 * scale:  # c0 = 1 ends the loop
+            coeffs.pop()
     solved = {}
     for length in {len(c) for c in polys} - {1}:
         rows = [i for i, c in enumerate(polys) if len(c) == length]

@@ -12,6 +12,7 @@ from resdyn.errors import (
     NearDegenerateSpectrum,
     NoResonance,
     NoSignChange,
+    ResdynError,
     Unclassifiable,
 )
 from resdyn.lattice import (
@@ -165,28 +166,17 @@ def test_near_degenerate_flag_close_to_ep():
     assert "near-degenerate" in s.flags
 
 
-def _one_at_a_time(params_seq):
-    """discrete_spectrum of each set in turn: (spectra, error, warnings),
-    stopping at the first error."""
-    spectra, error = [], None
+def _outcome(call):
+    """call()'s result, the error it raised (or None) and the warnings it
+    emitted, in order."""
+    result, error = None, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            for params in params_seq:
-                spectra.append(discrete_spectrum(params))
-        except Exception as exc:
+            result = call()
+        except ResdynError as exc:
             error = exc
-    return spectra, error, [(w.category, str(w.message)) for w in caught]
-
-
-def _batched(params_seq):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            spectra, error = discrete_spectra(params_seq), None
-        except Exception as exc:
-            spectra, error = [], exc
-    return spectra, error, [(w.category, str(w.message)) for w in caught]
+    return result, error, [(w.category, str(w.message)) for w in caught]
 
 
 def test_ragged_batch_matches_one_set_at_a_time():
@@ -198,11 +188,10 @@ def test_ragged_batch_matches_one_set_at_a_time():
     params = [TDotParams(1.0, 0.2, 0.1, 0.4, 0.6, t2r)
               for t2r in (0.7, 0.8 - 1e-9, 0.8, 0.8 + 3e-13, 0.9, 0.8 - 3e-13)]
     params.append(TDotParams(1.0, star, 0.0, 0.4, 1.0, 1.0))
-    spectra, error, caught = _batched(params)
-    assert error is None
-    assert [len(s.states) for s in spectra] == [4, 4, 3, 3, 4, 3, 4]
-    assert spectra[-1].flags == ("near-degenerate",)
-    assert (spectra, caught) == _one_at_a_time(params)[::2]
+    batch = _outcome(lambda: discrete_spectra(params))
+    assert [len(s.states) for s in batch[0]] == [4, 4, 3, 3, 4, 3, 4]
+    assert batch[0][-1].flags == ("near-degenerate",)
+    assert batch == _outcome(lambda: [discrete_spectrum(p) for p in params])
 
 
 @pytest.mark.parametrize("params, error", [
@@ -215,11 +204,11 @@ def test_ragged_batch_matches_one_set_at_a_time():
      NoResonance),
 ], ids=["g=0", "uniform-chain"])
 def test_batch_raises_where_one_set_at_a_time_raises(params, error):
-    _spectra, batch_error, batch_caught = _batched(params)
-    done, loop_error, loop_caught = _one_at_a_time(params)
+    _, batch_error, batch_caught = _outcome(lambda: discrete_spectra(params))
+    _, loop_error, loop_caught = _outcome(
+        lambda: [discrete_spectrum(p) for p in params])
     assert type(batch_error) is type(loop_error) is error
     assert str(batch_error) == str(loop_error)
-    assert len(done) == 2
     assert batch_caught == loop_caught
     assert [category for category, _ in loop_caught] == [DegenerateLeadCoupling] * 2
 
