@@ -210,7 +210,7 @@ def test_batch_raises_where_one_set_at_a_time_raises(params, error):
     assert type(batch_error) is type(loop_error) is error
     assert str(batch_error) == str(loop_error)
     assert batch_caught == loop_caught
-    assert [category for category, _ in loop_caught] == [DegenerateLeadCoupling] * 2
+    assert [cat for cat, _ in loop_caught] == [DegenerateLeadCoupling] * 2
 
 
 def test_random_spectra_completeness_and_pairing():
