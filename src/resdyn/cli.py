@@ -48,7 +48,7 @@ class RunConfig:
     tolerances: lat.Tolerances
     out_format: str
     sweep_parameter: str | None
-    sweep_values: np.ndarray | None
+    sweep_params: tuple | None  # the parameter set of every sweep value
     options: dict
 
 
@@ -114,27 +114,16 @@ def load_config(text):
                           f"(expected {SCHEMA_VERSION})")
     model = _get(cp, "run", "model", str, required=True).strip()
     command = _get(cp, "run", "command", str, required=True).strip()
-    if model not in ("tdot", "friedrichs"):
+    if model not in _MODELS:
         raise ConfigError(f"unknown model {model!r}")
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
 
+    params_class = _MODELS[model][0]
+    names = [f.name for f in dataclasses.fields(params_class)]
     try:
-        if model == "tdot":
-            params = lat.TDotParams(
-                b=_get(cp, "params", "b", float, required=True),
-                eps1=_get(cp, "params", "eps1", float, required=True),
-                eps2=_get(cp, "params", "eps2", float, required=True),
-                g=_get(cp, "params", "g", float, required=True),
-                t2l=_get(cp, "params", "t2l", float, required=True),
-                t2r=_get(cp, "params", "t2r", float, required=True),
-            )
-        else:
-            params = fm.FriedrichsParams(
-                omega1=_get(cp, "params", "omega1", float, required=True),
-                beta=_get(cp, "params", "beta", float, required=True),
-                g=_get(cp, "params", "g", float, required=True),
-            )
+        params = params_class(**{name: _get(cp, "params", name, float,
+                                            required=True) for name in names})
     except ResdynError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -157,7 +146,7 @@ def load_config(text):
     default_format = _COMMANDS[command][1][0]
     out_format = _get(cp, "output", "format", str, default=default_format).strip()
 
-    sweep_parameter = sweep_values = None
+    sweep_parameter = sweep_values = sweep_params = None
     if cp.has_section("sweep"):
         if not _COMMANDS[command][3]:
             raise ConfigError(f"{command} takes no [sweep] section")
@@ -167,9 +156,7 @@ def load_config(text):
         n = _get(cp, "sweep", "n", int, required=True)
         if n < 1 or (n > 1 and not lo < hi):
             raise ConfigError("sweep bounds must be ordered with n >= 1")
-        valid = ("b", "eps1", "eps2", "g", "t2l", "t2r") if model == "tdot" \
-            else ("omega1", "beta", "g")
-        if sweep_parameter not in valid:
+        if sweep_parameter not in names:
             raise ConfigError(f"cannot sweep {sweep_parameter!r} for {model}")
         sweep_values = np.linspace(lo, hi, n)
 
@@ -191,22 +178,20 @@ def load_config(text):
         "ep_lo": _get(cp, "ep", "eps1_lo", _finite, default=None),
         "ep_hi": _get(cp, "ep", "eps1_hi", _finite, default=None),
     }
-    config = RunConfig(model, command, params,
-                       np.linspace(t_min, t_max, n_points), tol, out_format,
-                       sweep_parameter, sweep_values, options)
-    # every sweep value must lie in the model's domain, as [params] must
-    for value in () if sweep_values is None else sweep_values:
-        try:
-            _swept_params(config, value)
-        except ResdynError as exc:
-            raise ConfigError(
-                f"[sweep] {sweep_parameter} = {value:.12g}: {exc}") from exc
-    return config
-
-
-def _swept_params(config, value):
-    return dataclasses.replace(config.params,
-                               **{config.sweep_parameter: float(value)})
+    if sweep_values is not None:
+        # every sweep value must lie in the model's domain, as [params] must
+        sweep_params = []
+        for value in sweep_values:
+            try:
+                sweep_params.append(dataclasses.replace(
+                    params, **{sweep_parameter: float(value)}))
+            except ResdynError as exc:
+                raise ConfigError(
+                    f"[sweep] {sweep_parameter} = {value:.12g}: {exc}") from exc
+        sweep_params = tuple(sweep_params)
+    return RunConfig(model, command, params,
+                     np.linspace(t_min, t_max, n_points), tol, out_format,
+                     sweep_parameter, sweep_params, options)
 
 
 def _write_text(out_path, text):
@@ -259,18 +244,17 @@ def _state_record(state):
 
 
 def cmd_spectrum(config, args):
-    values = [None] if config.sweep_parameter is None else config.sweep_values
-    spectra = lat.discrete_spectra(
-        config.params if value is None else _swept_params(config, value)
-        for value in values)
+    swept = config.sweep_params is not None
+    sets = config.sweep_params if swept else (config.params,)
     results = [([_state_record(s) for s in spectrum.states], spectrum.flags)
-               for spectrum in spectra]
+               for spectrum in lat.discrete_spectra(sets)]
     if config.out_format == "json":
         payload = []
-        for value, (recs, flags) in zip(values, results):
+        for params, (recs, flags) in zip(sets, results):
             entry = {"states": recs, "flags": list(flags)}
-            if value is not None:
-                entry[config.sweep_parameter] = float(value)
+            if swept:
+                entry[config.sweep_parameter] = getattr(
+                    params, config.sweep_parameter)
             payload.append(entry)
         _write_text(args.out, _json_document(
             {"model": "tdot", "records": payload}))
@@ -278,9 +262,10 @@ def cmd_spectrum(config, args):
     recs = [rec for rec_list, _flags in results for rec in rec_list]
     columns = {}
     keys = ()
-    if config.sweep_parameter is not None:
+    if swept:
         columns[config.sweep_parameter] = np.repeat(
-            values, [len(rec_list) for rec_list, _flags in results])
+            [getattr(p, config.sweep_parameter) for p in sets],
+            [len(rec_list) for rec_list, _flags in results])
         keys = (config.sweep_parameter,)
     columns["class"] = [rec["class"] for rec in recs]
     for name in ("re_lambda", "im_lambda", "re_e", "im_e", "re_w", "im_w"):
@@ -316,11 +301,11 @@ def _check_component_sum(total, chi, times, tol):
             f"at t = {times[worst]:.12g}")
 
 
-def _tdot_series(config):
-    """The T-dot total amplitude, its per-state components (label, values)
-    on request, the other named series its options ask for and its real
-    columns."""
-    spectrum = lat.discrete_spectrum(config.params)
+def _tdot_series(config, params):
+    """The T-dot total amplitude at ``params``, its per-state components
+    (label, values) on request, the other named series its options ask for
+    and its real columns."""
+    spectrum = lat.discrete_spectrum(params)
     times, tol = config.times, config.tolerances
     theta = config.options["theta"]
     weights = None if theta is None else lat.theta_weights(spectrum, theta)
@@ -328,8 +313,7 @@ def _tdot_series(config):
     if theta is not None or config.options["components"]:
         chi = lat.amplitude_grid(spectrum, times, weights)
     if theta is None:
-        total = lat.survival_direct(config.params, times, tol=tol,
-                                    spectrum=spectrum)
+        total = lat.survival_direct(params, times, tol=tol, spectrum=spectrum)
     else:
         total = sum(chi)
     components = []
@@ -347,21 +331,23 @@ def _tdot_series(config):
     return total, components, series, real
 
 
-def _friedrichs_series(config):
-    """The Friedrichs total amplitude and, on request, its cut components."""
+def _friedrichs_series(config, params):
+    """The Friedrichs total amplitude at ``params`` and, on request, its cut
+    components."""
     times = config.times
-    poles = fm.friedrichs_poles(config.params)
-    total = fm.survival_total(config.params, times, poles=poles)
+    poles = fm.friedrichs_poles(params)
+    total = fm.survival_total(params, times, poles=poles)
     components = []
     if config.options["components"]:
-        values = fm.a_components(config.params, times, poles=poles)
+        values = fm.a_components(params, times, poles=poles)
         components = [(pole.label, row) for pole, row in zip(poles.roots, values)]
     return total, components, [], {}
 
 
-# model -> (series function, stem of its component columns)
-_SURVIVAL_MODELS = {"tdot": (_tdot_series, "chi"),
-                    "friedrichs": (_friedrichs_series, "a")}
+# model -> (parameter class, whose fields are its [params] keys and
+# sweepable names; survival series function; stem of its component columns)
+_MODELS = {"tdot": (lat.TDotParams, _tdot_series, "chi"),
+           "friedrichs": (fm.FriedrichsParams, _friedrichs_series, "a")}
 
 
 def _survival_columns(config, parts, by_position=False):
@@ -370,7 +356,7 @@ def _survival_columns(config, parts, by_position=False):
     columns.  Components are named by their label, or by their 1-based
     position with ``by_position``."""
     total, components, series, real = parts
-    stem = _SURVIVAL_MODELS[config.model][1]
+    stem = _MODELS[config.model][2]
     # Python's abs per value: numpy's vectorised complex abs can differ from
     # it in the last bit, which can move the 12th printed digit
     columns = {"t": config.times, "re_a": total.real, "im_a": total.imag,
@@ -385,14 +371,13 @@ def _survival_columns(config, parts, by_position=False):
 
 
 def cmd_survival(config, args):
-    model_series = _SURVIVAL_MODELS[config.model][0]
-    if config.sweep_parameter is None:
+    model_series = _MODELS[config.model][1]
+    if config.sweep_params is None:
         _write_text(args.out, _csv_document(
-            _survival_columns(config, model_series(config)), ("t",)))
+            _survival_columns(config, model_series(config, config.params)),
+            ("t",)))
         return _EXIT_OK
-    parts = [model_series(dataclasses.replace(
-                 config, params=_swept_params(config, value)))
-             for value in config.sweep_values]
+    parts = [model_series(config, params) for params in config.sweep_params]
     # the state classes and their number can change along the sweep; the
     # columns are joined by position, so then the components are named by
     # position too, and a state missing at a sweep value contributes 0
@@ -403,8 +388,9 @@ def cmd_survival(config, args):
     by_position = len({tuple(label for label, _ in components)
                         for _, components, _, _ in parts}) > 1
     tables = [_survival_columns(config, p, by_position) for p in parts]
-    columns = {config.sweep_parameter: np.repeat(config.sweep_values,
-                                                 len(config.times))}
+    columns = {config.sweep_parameter: np.repeat(
+        [getattr(p, config.sweep_parameter) for p in config.sweep_params],
+        len(config.times))}
     for name, *cols in zip(tables[0], *(table.values() for table in tables)):
         columns[name] = np.concatenate(cols)
     _write_text(args.out, _csv_document(columns, (config.sweep_parameter, "t")))

@@ -34,11 +34,13 @@ amplitude
 
 r_B being the residue of the Green's function at B (0 for a virtual
 state); at t = 0, w(0) = 1.  ``a_cut_direct`` integrates the cut instead,
-sharing none of this, as the reference of ``oracle-check``.
+sharing none of this, as the reference of ``oracle-check``.  The functions
+that take ``poles=`` reject poles solved for other parameters.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,20 +49,20 @@ import numpy as np
 from .errors import (
     DomainError,
     PoleProximity,
+    QuadratureError,
     ValidityWarning,
 )
 from .kernel import (
-    adaptive_quad,
-    erfc_complex,  # noqa: F401  (bench/spans.py traces the kernel here)
+    adaptive_quad,  # noqa: F401  (bench/spans.py traces the kernel here)
+    erfc_complex,  # noqa: F401  (likewise)
     faddeeva,
-    piecewise_quad,  # noqa: F401  (likewise)
+    piecewise_quad,
     poly_roots,
 )
 from .lattice import (
     DEFAULT_TOLERANCES,
-    _grid_quad,
-    _octave_groups,
-    _quadrature_context,
+    _BLOCK,
+    _failure_message,
     _time_grid,
 )
 
@@ -75,7 +77,7 @@ class FriedrichsParams:
 
     def __post_init__(self):
         vals = (self.omega1, self.beta, self.g)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise DomainError("parameters must be finite")
         if self.beta <= 0:
             raise DomainError("beta must be positive")
@@ -236,14 +238,57 @@ def friedrichs_poles(params):
         bound_residue, params)
 
 
+def _poles_of(params, poles):
+    """``poles``, solved for ``params``, or the poles of ``params`` when
+    None; poles solved for other parameters raise DomainError."""
+    if poles is None:
+        return friedrichs_poles(params)
+    if poles.params != params:
+        raise DomainError("the poles were solved for other parameters")
+    return poles
+
+
 # ---------------------------------------------------------------------------
 # the reference: quadrature of the cut integral
+
+
+def _octave_groups(scale):
+    """Index arrays of the entries of ``scale`` (> 0) that share an octave
+    (2^(k-1), 2^k], ascending in scale within each group."""
+    if not len(scale):
+        return []
+    order = np.argsort(scale, kind="stable")
+    octave = np.ceil(np.log2(scale[order]))
+    return np.split(order, np.flatnonzero(np.diff(octave)) + 1)
+
+
+def _grid_quad(integrand, pts, times, tol, what):
+    """integral over the panels ``pts`` of integrand(times)(x), an
+    (n_nodes, len(times)) array, for every time at once.
+
+    Times go in chunks that keep a first pass's nodes x times block near
+    _BLOCK values; each chunk is one vector-valued quadrature, and a
+    failure names ``what`` and the chunk's span of times.
+    """
+    width = max(1, _BLOCK // (15 * (len(pts) - 1)))
+    out = np.empty(len(times), dtype=complex)
+    for start in range(0, len(times), width):
+        chunk = times[start:start + width]
+        try:
+            out[start:start + width] = piecewise_quad(
+                integrand(chunk), pts, abs_tol=tol.abs_tol,
+                rel_tol=tol.rel_tol).value
+        except QuadratureError as exc:
+            raise type(exc)(_failure_message(what, chunk, tol, exc),
+                            result=exc.result) from exc
+    return out
 
 
 def _tail_rotated(f_of_e, e0, times, tol, what):
     """integral_{e0}^inf f(E) e^{-iEt} dE for a group of times of one sign,
     by rotating the ray into the decaying half-plane (downward for t > 0,
-    upward for t < 0); t = 0 comes as a group of its own.
+    upward for t < 0); t = 0 comes as a group of its own, integrated once
+    on E = e0/s, s in (0, 1], as one column.
 
     f_of_e must be analytic and power-decaying in the swept quadrant; the
     rotation point e0 must exceed the real parts of all its poles.  The
@@ -251,15 +296,13 @@ def _tail_rotated(f_of_e, e0, times, tol, what):
     cutoff of its smallest.
     """
     if times[0] == 0.0:
-        # no oscillation: map E = e0/s onto s in (0, 1]
         def mapped(s):
             e = e0 / s
-            return f_of_e(e.astype(complex)) * e0 / s ** 2
+            return (f_of_e(e.astype(complex)) * e0 / s ** 2)[:, None]
 
-        with _quadrature_context(what, 0.0, 0.0, tol):
-            res = adaptive_quad(mapped, 0.0, 1.0, abs_tol=tol.abs_tol,
-                                rel_tol=tol.rel_tol)
-        return np.full(len(times), res.value)
+        value = _grid_quad(lambda tc: mapped, np.array([0.0, 1.0]), times[:1],
+                           tol, what)
+        return np.full(len(times), value[0])
     direction = -1j if times[0] > 0 else 1j
     t_lo, t_hi = np.abs(times).min(), np.abs(times).max()
     reach = np.log(1.0 / tol.abs_tol) + 8.0  # e^{-reach} below abs_tol
@@ -310,7 +353,7 @@ def a_cut_direct(params, t, tol=DEFAULT_TOLERANCES, poles=None):
     quadrature on the panel edges its largest |t| needs.
     """
     times, scalar = _time_grid(t)
-    p = poles if poles is not None else friedrichs_poles(params)
+    p = _poles_of(params, poles)
     beta = params.beta
     energies = [pole.energy for pole in p.roots]
     e0 = max(50.0 * beta, 50.0 * max(map(abs, energies)),
@@ -396,7 +439,7 @@ def a_components(params, t, poles=None):
     times, scalar = _time_grid(t)
     if np.any(times == 0.0):
         raise DomainError("single cut components diverge at t = 0")
-    p = poles if poles is not None else friedrichs_poles(params)
+    p = _poles_of(params, poles)
     weight, energy, sa, sb = _pole_columns(p, times)
     out = _fm7_value(params.beta, weight, energy, times, sa, sb)
     return out[:, 0] if scalar else out
@@ -405,7 +448,7 @@ def a_components(params, t, poles=None):
 def a_component(params, n, t, poles=None):
     """The cut component A_n(t) of the pole labelled n: its row of
     ``a_components``."""
-    p = poles if poles is not None else friedrichs_poles(params)
+    p = _poles_of(params, poles)
     row = p.roots.index(p[n])
     out = a_components(params, t, p)[row]
     return complex(out) if np.ndim(out) == 0 else out
@@ -427,7 +470,7 @@ def a_component_asymptotic(params, t, poles=None):
         raise DomainError(
             "the power-law form holds only in the large-negative-time regime "
             "(-t |E_R| >> 1); t >= 0 requested")
-    p = poles if poles is not None else friedrichs_poles(params)
+    p = _poles_of(params, poles)
     res = p["R"]
     if -times.max() * abs(res.energy) < 10.0:
         warnings.warn("asymptotic resonant form used at -t |E_R| < 10",
@@ -446,7 +489,7 @@ def survival_total(params, t, poles=None):
     array).  One Faddeeva call covers every pole and time; the poles are
     summed in their order."""
     times, scalar = _time_grid(t)
-    p = poles if poles is not None else friedrichs_poles(params)
+    p = _poles_of(params, poles)
     weight, energy, sa, sb = _pole_columns(p, times)
     total = p.bound_residue * np.exp(-1j * p["B"].energy.real * times)
     for term in _faddeeva_term(params.beta, weight, energy, times, sa, sb):

@@ -98,7 +98,11 @@ def _j1_hankel(x):
 
 
 def bessel_j1(x):
-    """Bessel function J1 for real argument (scalar or ndarray)."""
+    """Bessel function J1 for real argument (scalar or ndarray).
+
+    Needs scipy, which the package does not require: it imports scipy's
+    ``j1`` on its first call.
+    """
     from scipy.special import j1
 
     arr = np.asarray(x, dtype=float)

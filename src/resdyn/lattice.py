@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import (
     NearDegenerateSpectrum,
     NoResonance,
     NoSignChange,
-    QuadratureError,
     ToleranceNotMet,
     Unclassifiable,
     Underflow,
@@ -37,7 +35,7 @@ from .kernel import (
     accept_roots,
     batch_roots,
     bessel_j1,  # noqa: F401  (bench/spans.py traces the kernel here)
-    piecewise_quad,
+    piecewise_quad,  # noqa: F401  (likewise)
     poly_roots,  # noqa: F401  (likewise)
     upper_gamma_mhalf,  # noqa: F401  (likewise)
 )
@@ -75,7 +73,7 @@ class TDotParams:
 
     def __post_init__(self):
         vals = (self.b, self.eps1, self.eps2, self.g, self.t2l, self.t2r)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise DomainError("parameters must be finite")
         if self.b <= 0:
             raise DomainError("b must be positive")
@@ -118,7 +116,7 @@ class ThetaState:
     theta: float
 
     def __post_init__(self):
-        if not np.isfinite(self.theta):
+        if not math.isfinite(self.theta):
             raise DomainError("theta must be finite")
 
 
@@ -180,15 +178,22 @@ def f_lambda(params, lam):
 
 
 def p4_coefficients(params):
-    """Ascending coefficients of P4(lambda) = lambda^2 f(lambda) / b^2."""
+    """Ascending coefficients of P4(lambda) = lambda^2 f(lambda) / b^2.
+
+    A coefficient that leaves the float range is inf or nan; all five are
+    nan when b^2, t2L^2 or t2R^2 overflows or b^2 underflows to 0.
+    """
     b, e1, e2, g = params.b, params.eps1, params.eps2, params.g
-    t = params.lead_coupling
-    c4 = b * (b - t)
-    c3 = b * e2 + e1 * (b - t)
-    c2 = b * b + e1 * e2 + b * (b - t) - g * g
-    c1 = b * (e1 + e2)
-    c0 = b * b
-    return [c / b ** 2 for c in (c0, c1, c2, c3, c4)]
+    try:
+        t = params.lead_coupling
+        c4 = b * (b - t)
+        c3 = b * e2 + e1 * (b - t)
+        c2 = b * b + e1 * e2 + b * (b - t) - g * g
+        c1 = b * (e1 + e2)
+        c0 = b * b
+        return [c / b ** 2 for c in (c0, c1, c2, c3, c4)]
+    except ArithmeticError:  # a square overflowed, or b^2 underflowed to 0
+        return [math.nan] * 5
 
 
 def classify(lam, energy, tol=1e-9):
@@ -235,17 +240,22 @@ def discrete_spectra(params_seq):
     at or below 1e-12 of the largest is dropped, each with the root that
     grows without bound as it vanishes.  With no coefficient left but c0
     (next to b = g = T, eps1 = eps2 = 0) no state remains, and NoResonance
-    is raised.  g = 0 raises DomainError.
+    is raised.  g = 0 raises DomainError, as does a set whose quartic
+    coefficients leave the float range (b = 1e200, say), naming them.
     """
     params_seq = list(params_seq)
     polys = [p4_coefficients(p) for p in params_seq]
-    for coeffs in polys:
+    # a set whose coefficients left the float range joins no solve, and
+    # ``_spectrum`` rejects it
+    finite = [i for i, c in enumerate(polys) if all(map(math.isfinite, c))]
+    for i in finite:
+        coeffs = polys[i]
         scale = max(abs(c) for c in coeffs)
         while abs(coeffs[-1]) <= 1e-12 * scale:  # c0 = 1 ends the loop
             coeffs.pop()
     solved = {}
-    for length in {len(c) for c in polys} - {1}:
-        rows = [i for i, c in enumerate(polys) if len(c) == length]
+    for length in {len(polys[i]) for i in finite} - {1}:
+        rows = [i for i in finite if len(polys[i]) == length]
         solved.update(zip(rows, zip(*batch_roots([polys[i] for i in rows]))))
     return [_spectrum(params, coeffs, solved.get(i))
             for i, (params, coeffs) in enumerate(zip(params_seq, polys))]
@@ -255,6 +265,10 @@ def _spectrum(params, coeffs, row):
     """One set's Spectrum from its coefficients and batch_roots row."""
     if params.g == 0:
         raise DomainError("g = 0 decouples d1; residue weights are undefined")
+    bad = [f"c{i}" for i, c in enumerate(coeffs) if not math.isfinite(c)]
+    if bad:
+        raise DomainError("quartic coefficients leave the float range: "
+                          + ", ".join(bad))
     flags = []
     if len(coeffs) == 1:
         # the dropped roots would carry all of sum_n w_n/lam_n = 1
@@ -282,8 +296,8 @@ def _spectrum(params, coeffs, row):
     states = []
     for n, lam in enumerate(roots):
         energy = -b * (lam + 1.0 / lam)
-        fp = b * b * c_lead * complex(np.prod(
-            [lam - other for m, other in enumerate(roots) if m != n])) / lam ** 2
+        fp = b * b * c_lead * math.prod(
+            [lam - other for m, other in enumerate(roots) if m != n]) / lam ** 2
         if lam.imag == 0:
             fp = fp.real
         # the smaller of the two factors of g^2 loses its digits to the
@@ -302,7 +316,7 @@ def _spectrum(params, coeffs, row):
 
 
 # ---------------------------------------------------------------------------
-# Time grids and vector-valued quadrature shared with the Friedrichs model
+# Time grids, blocks and quadrature failures shared with the Friedrichs model
 
 # integrand values (complex) per first pass of one vector-valued quadrature
 _BLOCK = 1 << 18
@@ -317,44 +331,11 @@ def _time_grid(t):
     return grid, t.ndim == 0
 
 
-def _octave_groups(scale):
-    """Index arrays of the entries of ``scale`` (> 0) that share an octave
-    (2^(k-1), 2^k], ascending in scale within each group."""
-    if not len(scale):
-        return []
-    order = np.argsort(scale, kind="stable")
-    octave = np.ceil(np.log2(scale[order]))
-    return np.split(order, np.flatnonzero(np.diff(octave)) + 1)
-
-
-@contextmanager
-def _quadrature_context(what, t_lo, t_hi, tol):
-    """Re-raise a quadrature failure with the same type and result, naming
-    the series, its span of times and the tolerance."""
-    try:
-        yield
-    except QuadratureError as exc:
-        raise type(exc)(
-            f"{what} over t in [{t_lo:g}, {t_hi:g}] (abs_tol {tol.abs_tol:g}, "
-            f"rel_tol {tol.rel_tol:g}): {exc}", result=exc.result) from exc
-
-
-def _grid_quad(integrand, pts, times, tol, what):
-    """integral over the panels ``pts`` of integrand(times)(x), an
-    (n_nodes, len(times)) array, for every time at once.
-
-    Times go in chunks that keep a first pass's nodes x times block near
-    _BLOCK values; each chunk is one vector-valued quadrature.
-    """
-    width = max(1, _BLOCK // (15 * (len(pts) - 1)))
-    out = np.empty(len(times), dtype=complex)
-    for start in range(0, len(times), width):
-        chunk = times[start:start + width]
-        with _quadrature_context(what, chunk.min(), chunk.max(), tol):
-            out[start:start + width] = piecewise_quad(
-                integrand(chunk), pts, abs_tol=tol.abs_tol,
-                rel_tol=tol.rel_tol).value
-    return out
+def _failure_message(what, times, tol, why):
+    """The message of a quadrature failure of the series ``what``: its span
+    of times, the tolerance and why it failed."""
+    return (f"{what} over t in [{times.min():g}, {times.max():g}] (abs_tol "
+            f"{tol.abs_tol:g}, rel_tol {tol.rel_tol:g}): {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +648,8 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     """A(t) = <d1|e^{-iHt}|d1> from bound-pole residues plus the unit-circle
     integral of the partial-fraction contour integrand.
 
-    ``t`` is a time or a 1-d grid (a grid gives an array).  H and |d1> are
+    ``t`` is a time or a 1-d grid (a grid gives an array); a ``spectrum``
+    solved for other parameters raises DomainError.  H and |d1> are
     real, so A(-t) = conj A(t): only the distinct |t| are integrated.  For
     the same reason the states and weights come in conjugate pairs, so the
     integrand f at -k is the mirror of f at k and the circle folds onto
@@ -706,6 +688,8 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     grid, scalar = _time_grid(t)
     times, inverse = np.unique(np.abs(grid), return_inverse=True)
     s = spectrum if spectrum is not None else discrete_spectrum(params)
+    if s.params != params:
+        raise DomainError("the spectrum was solved for other parameters")
     b, g = params.b, params.g
     bound_sum = np.zeros(len(times), dtype=complex)
     for st in s.by_class(StateClass.BOUND):
@@ -751,9 +735,9 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     m = 1 << int(np.ceil(np.log2(m)))
 
     def fail(which, why):
-        with _quadrature_context("direct contour", times[which].min(),
-                                 times[which].max(), tol):
-            raise ToleranceNotMet(why, result=(bound_sum + value)[which])
+        raise ToleranceNotMet(
+            _failure_message("direct contour", times[which], tol, why),
+            result=(bound_sum + value)[which])
 
     def level(knots, target, active):
         # the nodes at ``target``, their phase sums for the active times

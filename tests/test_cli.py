@@ -432,6 +432,32 @@ def test_exit_code_2_on_sweep_value_outside_the_domain(tmp_path, capsys,
                               f"{name} must be positive")
 
 
+@pytest.mark.parametrize("text, message", [
+    (FRIEDRICHS_SWEEP.replace("beta = 0.5\n", ""), "missing [params] beta"),
+    (SWEEPS["survival"].replace("parameter = eps1", "parameter = omega1"),
+     "cannot sweep 'omega1' for tdot"),
+    (SWEEPS["survival"].replace("model = tdot", "model = hubbard"),
+     "unknown model 'hubbard'"),
+], ids=["missing-key", "foreign-sweep", "unknown-model"])
+def test_config_errors_name_the_model_and_its_parameters(text, message):
+    """A model's [params] keys and sweepable names are the fields of its
+    parameter class."""
+    with pytest.raises(ConfigError) as err:
+        load_config(text)
+    assert str(err.value) == message
+
+
+def test_exit_code_3_when_the_quartic_leaves_the_float_range(tmp_path, capsys):
+    cfg = BASE_TDOT.format(command="spectrum", eps1="0.2", extra="").replace(
+        "\nb = 1.0\n", "\nb = 1e200\n")
+    rc = main(["spectrum", "--config", write_cfg(tmp_path, cfg)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DomainError",
+        "message": "quartic coefficients leave the float range: "
+                   "c0, c1, c2, c3, c4"}
+
+
 # ---------------------------------------------------------------------------
 # recipe behavior (datasets' qualitative structure)
 
@@ -777,10 +803,11 @@ import os
 import sys
 import resdyn
 import resdyn.cli as cli
-out, cfg = sys.argv[1:]
+out, cfg, friedrichs_cfg = sys.argv[1:]
 runs = [["friedrichs", "--recipe", "fig11"], ["survival", "--recipe", "fig6a"],
         ["ratio", "--recipe", "fig8b"], ["spectrum", "--recipe", "fig2"],
-        ["oracle-check", "--config", cfg]]
+        ["oracle-check", "--config", cfg],
+        ["oracle-check", "--config", friedrichs_cfg]]
 codes = [cli.main(argv + ["--out", f"{out}/{i}"]) for i, argv in enumerate(runs)]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
       sorted(m for m in sys.modules if m.startswith("numpy.polynomial")),
@@ -791,10 +818,11 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
 @pytest.mark.parametrize("blas_threads", [None, "2"])
 def test_cli_runs_on_numpy_alone(tmp_path, monkeypatch, blas_threads):
     """Importing the package and running every model's commands, the oracle
-    included, loads no scipy module and no numpy.polynomial module (the
-    roots of fig2's quartics and fig11's cubic come from stacked companion
-    matrices); the package, loading numpy, defaults OpenBLAS to one thread
-    unless the environment sets it."""
+    and the Friedrichs cut quadrature (t = 0 included) too, loads no scipy
+    module and no numpy.polynomial module (the roots of fig2's quartics and
+    fig11's cubic come from stacked companion matrices); the package,
+    loading numpy, defaults OpenBLAS to one thread unless the environment
+    sets it."""
     import resdyn
 
     if blas_threads is None:
@@ -806,9 +834,29 @@ def test_cli_runs_on_numpy_alone(tmp_path, monkeypatch, blas_threads):
         command="oracle-check", eps1="0.2",
         extra="[time]\nt_min = -20.0\nt_max = 20.0\nn_points = 5\n"
               "[oracle]\nn_sites = 50")
+    # the cut quadrature is the package's only GK15 caller; t = 0 lies on
+    # this grid, so its group of one runs too
+    friedrichs_cfg = """
+[run]
+schema_version = 1
+model = friedrichs
+command = oracle-check
+
+[params]
+omega1 = 1.0
+beta = 0.5
+g = 0.08
+
+[time]
+t_min = -6.0
+t_max = 6.0
+n_points = 13
+"""
     out = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path),
-         write_cfg(tmp_path, cfg)],
+         write_cfg(tmp_path, cfg),
+         write_cfg(tmp_path, friedrichs_cfg, "friedrichs.cfg")],
         capture_output=True, text=True, check=True,
         cwd=str(Path(resdyn.__file__).parents[1]))
-    assert out.stdout.strip() == f"[0, 0, 0, 0, 0] [] [] {blas_threads or 1}"
+    assert out.stdout.strip() == \
+        f"[0, 0, 0, 0, 0, 0] [] [] {blas_threads or 1}"

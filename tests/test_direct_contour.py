@@ -7,6 +7,7 @@ cover the band edge (a real root within 1e-7 to 1e-3 of the unit circle),
 weak coupling (g from 1e-5 to 1e-1) and a general box of the domain.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -17,7 +18,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from resdyn.cli import main
-from resdyn.errors import ResdynError, ToleranceNotMet
+from resdyn.errors import DomainError, ResdynError, ToleranceNotMet
 from resdyn.lattice import (
     DEFAULT_TOLERANCES,
     StateClass,
@@ -209,6 +210,16 @@ def test_fig8c_at_long_times_meets_the_component_sum():
     direct = survival_direct(params, times, spectrum=spectrum)
     chi = amplitude_grid(spectrum, times).sum(axis=0)
     assert np.max(np.abs(direct - chi)) <= 1e-12
+
+
+def test_spectrum_of_other_parameters_is_rejected():
+    # fig9's parameters with the spectrum of g = 0.8 would mix two models
+    other = discrete_spectrum(dataclasses.replace(FIG9_PARAMS, g=0.8))
+    with pytest.raises(DomainError, match="other parameters"):
+        survival_direct(FIG9_PARAMS, 3.0, spectrum=other)
+    same = discrete_spectrum(dataclasses.replace(FIG9_PARAMS))
+    assert survival_direct(FIG9_PARAMS, 3.0, spectrum=same) == \
+        survival_direct(FIG9_PARAMS, 3.0)
 
 
 @pytest.mark.xfail(strict=True, reason="near-degenerate anti-bound pair 1.17e-6 "

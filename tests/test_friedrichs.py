@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from resdyn.friedrichs import (
     FriedrichsParams,
     a_component,
     a_component_asymptotic,
+    a_components,
     a_cut_direct,
     cut_integrand_rational,
     friedrichs_poles,
@@ -24,6 +27,24 @@ from conftest import FIG11_PARAMS, FM_E_R_REF, assert_close
 
 TIGHT = Tolerances(abs_tol=1e-12, rel_tol=1e-11)
 STRONG = FriedrichsParams(omega1=1.0, beta=0.5, g=0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, poles: a_cut_direct(p, 1.0, poles=poles),
+    lambda p, poles: a_components(p, 1.0, poles=poles),
+    lambda p, poles: a_component(p, "R", 1.0, poles=poles),
+    lambda p, poles: a_component_asymptotic(p, -50.0, poles=poles),
+    lambda p, poles: survival_total(p, 0.0, poles=poles),
+], ids=["cut", "components", "component", "asymptotic", "total"])
+def test_poles_of_other_parameters_are_rejected(call):
+    # fig11's parameters with the poles of beta = 0.9 would mix two models
+    # (survival_total would give A(0) = 0.745)
+    other = friedrichs_poles(dataclasses.replace(FIG11_PARAMS, beta=0.9))
+    with pytest.raises(DomainError, match="other parameters"):
+        call(FIG11_PARAMS, other)
+    np.testing.assert_array_equal(
+        call(FIG11_PARAMS, friedrichs_poles(FIG11_PARAMS)),
+        call(FIG11_PARAMS, None))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,19 @@ def test_spectrum_requires_coupling():
         discrete_spectrum(TDotParams(1.0, 0.2, 0.0, 0.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("params, bad", [
+    (TDotParams(1e200, 0.2, 0.0, 0.4, 1.0, 1.0), "c0, c1, c2, c3, c4"),
+    (TDotParams(1e-200, 0.2, 0.0, 0.4, 1.0, 1.0), "c0, c1, c2, c3, c4"),
+    (TDotParams(1.0, 1e300, 1e300, 1.0, 1.0, 1.0), "c2"),
+], ids=["b=1e200", "b=1e-200", "eps=1e300"])
+def test_coefficients_outside_the_float_range_raise(params, bad):
+    # b^2 overflows or underflows to 0 (every coefficient is lost), or
+    # eps1 eps2 overflows in c2 alone
+    with pytest.raises(DomainError) as err:
+        discrete_spectrum(params)
+    assert str(err.value) == f"quartic coefficients leave the float range: {bad}"
+
+
 def test_degenerate_lead_coupling_gives_cubic():
     # t2l^2 + t2r^2 = b^2 makes the quartic's leading coefficient vanish
     p = TDotParams(b=1.0, eps1=0.4, eps2=0.1, g=0.3,
@@ -202,7 +215,10 @@ def test_ragged_batch_matches_one_set_at_a_time():
     # then the polynomial is constant (a uniform chain)
     ([TDotParams(1.0, 0.0, 0.0, g, 1.0, 0.0) for g in (0.5, 0.8, 1.0, 1.2)],
      NoResonance),
-], ids=["g=0", "uniform-chain"])
+    # two cubics, then b^2 overflows, then an ordinary set
+    ([TDotParams(b, 0.2, 0.1, 0.4, 1.0, 0.0) for b in (1.0, 1.0, 1e200)]
+     + [FIG9_PARAMS], DomainError),
+], ids=["g=0", "uniform-chain", "b=1e200"])
 def test_batch_raises_where_one_set_at_a_time_raises(params, error):
     _, batch_error, batch_caught = _outcome(lambda: discrete_spectra(params))
     _, loop_error, loop_caught = _outcome(

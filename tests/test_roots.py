@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyfromroots, polyval
@@ -86,9 +84,7 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
 
 
 def _fig2_params():
-    config = load_config(recipe_text("fig2"))
-    return [dataclasses.replace(config.params, eps1=float(v))
-            for v in config.sweep_values]
+    return list(load_config(recipe_text("fig2")).sweep_params)
 
 
 def _box_params():
