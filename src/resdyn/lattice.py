@@ -894,8 +894,18 @@ def _quartic_discriminant(c0, c1, c2, c3, c4):
 
 
 def ep_discriminant(params):
-    """Discriminant of the quartic; changes sign at the exceptional point."""
-    return _quartic_discriminant(*p4_coefficients(params))
+    """Discriminant of the quartic; changes sign at the exceptional point.
+
+    Raises DomainError when it leaves the float range, as a bisection on
+    inf or nan would return an arbitrary point.
+    """
+    try:
+        disc = _quartic_discriminant(*p4_coefficients(params))
+    except OverflowError:  # a float power overflowed
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise DomainError("the quartic's discriminant leaves the float range")
+    return disc
 
 
 def ep_locate(params, eps1_lo, eps1_hi, tol=1e-9):

@@ -319,6 +319,15 @@ def test_ep_no_sign_change_raises():
         ep_locate(FIG9_PARAMS, -0.5, 0.0)  # both ends right of the EP
 
 
+@pytest.mark.parametrize("params", [
+    TDotParams(1e200, 0.2, 0.0, 0.4, 1.0, 1.0),  # nan coefficients
+    TDotParams(1.0, 0.2, 1e100, 0.4, 1.0, 1.0),  # a power overflows
+], ids=["b=1e200", "eps2=1e100"])
+def test_ep_locate_rejects_a_discriminant_outside_the_float_range(params):
+    with pytest.raises(DomainError, match="discriminant"):
+        ep_locate(params, -3.0, 0.0)
+
+
 
 # ---------------------------------------------------------------------------
 # the root solve across the domain, quartic-to-cubic degeneracy included
