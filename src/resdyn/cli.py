@@ -399,8 +399,11 @@ def cmd_survival(config, args):
 
 def _ep_hint(params):
     grid = params.eps1 + np.arange(-6.0, 6.5, 0.5)
-    discs = [lat.ep_discriminant(dataclasses.replace(params, eps1=float(e)))
-             for e in grid]
+    try:
+        discs = [lat.ep_discriminant(dataclasses.replace(params, eps1=float(e)))
+                 for e in grid]
+    except DomainError:  # the discriminant leaves the float range
+        return None
     for lo, hi, d_lo, d_hi in zip(grid[:-1], grid[1:], discs[:-1], discs[1:]):
         if np.sign(d_lo) != np.sign(d_hi):
             try:

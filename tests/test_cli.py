@@ -234,6 +234,20 @@ def test_exit_code_4_when_no_resonance(tmp_path, capsys):
     assert "-2.34752" in err["message"]
 
 
+def test_exit_code_4_without_a_hint_when_the_discriminant_overflows(
+        tmp_path, capsys):
+    # eps2 = 1e60 keeps the quartic finite (a cubic at this scale), but not
+    # its discriminant
+    cfg = BASE_TDOT.format(command="ratio", eps1="-3.0",
+                           extra="[time]\nt_min = 0.0\nt_max = 2.0\nn_points = 5")
+    cfg = cfg.replace("eps2 = 0.0", "eps2 = 1e60")
+    with pytest.warns(DegenerateLeadCoupling):
+        rc = main(["ratio", "--config", write_cfg(tmp_path, cfg)])
+    assert rc == 4
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "NoResonance", "message": "no resonant pair at eps1 = -3"}
+
+
 def test_exit_code_3_on_numeric_failure(tmp_path, capsys):
     # the direct contour meets the oracle to about 8e-16 here; a tolerance
     # below the rounding of either side cannot be met
