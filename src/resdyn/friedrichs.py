@@ -66,6 +66,9 @@ from .lattice import (
     _time_grid,
 )
 
+# |g| for which (2 pi g^2)^2, in the quartic Q, is a normal float
+_G_RANGE = (1e-77, 1e76)
+
 
 @dataclass(frozen=True)
 class FriedrichsParams:
@@ -193,12 +196,24 @@ def friedrichs_poles(params):
     One real root and a conjugate pair are labelled B, R, AR; three real
     roots B, V1, V2, where B is the one that solves the first-sheet
     level-shift equation (at most one does, as that function increases
-    monotonically on E < 0).  g = 0 raises DomainError.
+    monotonically on E < 0).  g = 0 raises DomainError, as does a g outside
+    [1e-77, 1e76], where (2 pi g^2)^2 leaves the normal float range, or a
+    cubic whose companion matrix would overflow.
     """
-    beta, tpg = params.beta, _two_pi_g2(params)
-    if tpg == 0.0:
+    if params.g == 0.0:
         raise DomainError("g = 0 decouples the level: there is no cut")
-    roots = [params.omega1 + tpg * y for y in poly_roots(_scaled_cubic(params))]
+    if not _G_RANGE[0] <= abs(params.g) <= _G_RANGE[1]:
+        raise DomainError(f"g = {params.g:g} leaves the float range: "
+                          f"(2 pi g^2)^2 needs {_G_RANGE[0]:g} <= |g| <= "
+                          f"{_G_RANGE[1]:g}")
+    beta, tpg = params.beta, _two_pi_g2(params)
+    cubic = _scaled_cubic(params)
+    with np.errstate(over="ignore"):
+        companion = cubic[:-1] / tpg
+    if not np.isfinite(companion).all():
+        raise DomainError("the cubic leaves the float range: beta or "
+                          "omega1 + beta over 2 pi g^2 overflows")
+    roots = [params.omega1 + tpg * y for y in poly_roots(cubic)]
     # a real root far from omega1 loses digits to the cancellation in
     # omega1 + 2 pi g^2 y; Newton on Q wins them back
     reals = np.sort(_newton_on_quartic(

@@ -3,9 +3,10 @@
 The dot plus 2N lead sites form a real symmetric Hamiltonian whose exact
 dynamics (up to the reflection horizon N/(2b)) ground-truths every
 contour-based amplitude; it is propagated from |d1> on a numpy stencil over
-the one lead chain that couples to d2.  The coefficients (-i)^k J_k(alpha)
-come from one FFT of e^{-i alpha cos theta} per distinct |alpha|
-(Jacobi-Anger), so this module shares no Bessel evaluation with the
+the one lead chain that couples to d2, each step only over its light cone.
+The coefficients (-i)^k J_k(alpha) come from one real FFT of
+e^{-i alpha cos theta} per distinct |alpha| (Jacobi-Anger), sampled from a
+quarter period, so this module shares no Bessel evaluation with the
 analytic side.
 """
 
@@ -83,17 +84,27 @@ def _coefficients(alphas, order):
     """Real c with c_k = (2 - delta_k0) (-i)^k J_k(alpha) equal to c[:, k]
     for even k and to i c[:, k] for odd k, one row per alpha >= 0.
 
-    By Jacobi-Anger, cos(alpha cos x) - sin(alpha cos x) is the cosine
-    series sum_k c[:, k] cos(k x), so one real FFT per alpha on
-    2^m >= 2(order + 1) points gives every coefficient; the aliases it folds
-    in are J_k beyond the order, which _chebyshev_order keeps below 1e-17.
+    By Jacobi-Anger, f(x) = cos(alpha cos x) - sin(alpha cos x) is the cosine
+    series sum_k c[:, k] cos(k x), so one real FFT per alpha of f on
+    m = 2^j >= 2(order + 1) points gives every coefficient; the aliases it
+    folds in are J_k beyond the order, which _chebyshev_order keeps below
+    1e-17.  cos and sin are taken on the first quarter period alone, where
+    cos x falls from 1 to exactly 0: cos(pi - x) = -cos x gives
+    f_{m/2-j} = C_j + S_j from f_j = C_j - S_j, and f_{m-j} = f_j.
     """
     m = 1 << (2 * order + 1).bit_length()
-    grid = np.cos(2.0 * np.pi * np.arange(m) / m)
+    quarter, half = m // 4, m // 2
+    grid = np.cos(2.0 * np.pi * np.arange(quarter + 1) / m)
+    grid[-1] = 0.0  # not cos(pi/2), which rounds to 6e-17
+    samples = np.empty(m)
     series = np.empty((len(alphas), order + 1))
     for row, alpha in zip(series, alphas):  # one row at a time keeps the peak
         arg = alpha * grid                  # at a few arrays of length m
-        row[:] = np.fft.rfft(np.cos(arg) - np.sin(arg)).real[:order + 1]
+        cos, sin = np.cos(arg), np.sin(arg)
+        np.subtract(cos, sin, out=samples[:quarter + 1])
+        np.add(cos, sin, out=samples[half:quarter - 1:-1])
+        samples[half + 1:] = samples[half - 1:0:-1]
+        row[:] = np.fft.rfft(samples).real[:order + 1]
     series *= np.where(np.arange(order + 1) == 0, 1.0, 2.0) / m
     return series
 
@@ -107,10 +118,13 @@ def propagate(lattice, times):
     H maps the chain [d1, d2, c_1 .. c_N] (hops g, tau, b, b, ..) into
     itself, so the vectors hold that chain and the two-lead bound still
     covers its spectrum.  T_k|d1> vanishes beyond site k, so min(N, order) + 3
-    entries suffice.  Each step is the bulk hop (three slice operations) and
-    the rows of d1, d2 and c_1.  The amplitudes sum the d1 and d2 entries at
-    each distinct |t|, and J_k(-x) = (-1)^k J_k(x) makes the one at -t the
-    conjugate of that at t.
+    entries suffice, and a step need not touch those past its light cone:
+    the bulk hop (three slice operations) runs on views re-made every 64
+    steps, which reach 2 entries past the block's last step, and the
+    entries beyond them stay exactly zero.  Then d1, d2 and c_1 take their
+    own rows.  The amplitudes sum the d1 and d2 entries at each distinct
+    |t|, and J_k(-x) = (-1)^k J_k(x) makes the one at -t the conjugate of
+    that at t.
     """
     times = np.array(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or not np.isfinite(times).all():
@@ -130,14 +144,18 @@ def propagate(lattice, times):
 
     e1, e2, g = p.eps1 / scale, p.eps2 / scale, -p.g / scale
     tau, hop = -math.hypot(p.t2l, p.t2r) / scale, -p.b / scale
-    vecs = np.zeros((2, min(n, order) + 3))  # T_k|d1> lives in vecs[k % 2]
+    size = min(n, order) + 3
+    vecs = np.zeros((2, size))  # T_k|d1> lives in vecs[k % 2]
     vecs[0, 0], vecs[1, 0], vecs[1, 1] = 1.0, e1, g
-    new = np.empty(vecs.shape[1] - 4)
-    views = [(v[2:-2], v[4:], u[3:-1], v[:4], u[:3])
-             for v, u in zip(vecs[::-1], vecs)]  # by parity of k
+    buffer = np.empty(size - 4)
     rows = np.empty((2, order + 1))  # d1 and d2 entries of T_k(H~)|d1>
     rows[:, 0], rows[:, 1] = (1.0, 0.0), (e1, g)
     for k in range(2, order + 1):
+        if k % 64 == 2:  # the bulk grows by 64 sites every 64 steps
+            hi = min(size - 1, k + 66)
+            new = buffer[:hi - 3]
+            views = [(v[2:hi - 1], v[4:hi + 1], u[3:hi], v[:4], u[:3])
+                     for v, u in zip(vecs[::-1], vecs)]  # by parity of k
         left, right, back, near, edge = views[k % 2]
         (x0, x1, x2, x3), (p0, p1, p2) = near.tolist(), edge.tolist()
         d1 = 2.0 * (e1 * x0 + g * x1) - p0

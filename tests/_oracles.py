@@ -9,9 +9,12 @@ Friedrichs branch search picks the erfc square-root branches by comparison
 with the defining integral instead of the derived rule, the Friedrichs
 pole sum is redone at 40 digits with mpmath's roots and erfc, the
 truncated-lattice amplitudes come from scipy's expm_multiply instead of a
-Chebyshev expansion, and the polynomial roots are found one polynomial at a
+Chebyshev expansion (and, to pin the light cone bit for bit, from the
+Chebyshev recurrence over the whole chain), and the polynomial roots are found one polynomial at a
 time with numpy.polynomial instead of in a stacked batch.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -22,6 +25,7 @@ from scipy.sparse.linalg import expm_multiply
 from resdyn.friedrichs import _cut_main_breakpoints, _fm7_value, _tail_rotated
 from resdyn.kernel import piecewise_quad
 from resdyn.lattice import f_lambda, h_lambda
+from resdyn.oracle import _chebyshev_order, _coefficients
 
 
 def polished_roots(coefficients):
@@ -117,6 +121,43 @@ def expm_rows(lattice, times):
     rows = np.array([expm_multiply(-1j * t * h, v)[:2] for t in times])
     return rows[:, 0], rows[:, 1]
 
+
+def full_chain_rows(lattice, times):
+    """propagate's d1 and d2 rows with every Chebyshev step run over the
+    whole chain [d1, d2, c_1 .. c_N] (min(N, order) + 3 entries) rather
+    than over its light cone; the order and the coefficients are
+    propagate's own, so the two agree bit for bit."""
+    times = np.asarray(times, dtype=float)
+    mags, inverse = np.unique(np.abs(times), return_inverse=True)
+    p, n, scale = lattice.params, lattice.n_sites_per_lead, lattice.scale
+    order = _chebyshev_order(scale * float(mags[-1]))
+    coeff = _coefficients(scale * mags, order)
+
+    e1, e2, g = p.eps1 / scale, p.eps2 / scale, -p.g / scale
+    tau, hop = -math.hypot(p.t2l, p.t2r) / scale, -p.b / scale
+    vecs = np.zeros((2, min(n, order) + 3))  # T_k|d1> lives in vecs[k % 2]
+    vecs[0, 0], vecs[1, 0], vecs[1, 1] = 1.0, e1, g
+    new = np.empty(vecs.shape[1] - 4)
+    views = [(v[2:-2], v[4:], u[3:-1], v[:4], u[:3])
+             for v, u in zip(vecs[::-1], vecs)]  # by parity of k
+    rows = np.empty((2, order + 1))  # d1 and d2 entries of T_k(H~)|d1>
+    rows[:, 0], rows[:, 1] = (1.0, 0.0), (e1, g)
+    for k in range(2, order + 1):
+        left, right, back, near, edge = views[k % 2]
+        (x0, x1, x2, x3), (p0, p1, p2) = near.tolist(), edge.tolist()
+        d1 = 2.0 * (e1 * x0 + g * x1) - p0
+        d2 = 2.0 * (g * x0 + e2 * x1 + tau * x2) - p1
+        np.add(left, right, out=new)
+        new *= 2.0 * hop
+        np.subtract(new, back, out=back)
+        edge[0], edge[1], edge[2] = d1, d2, 2.0 * (tau * x1 + hop * x3) - p2
+        rows[0, k], rows[1, k] = d1, d2
+
+    real = np.einsum("tk,sk->ts", coeff[:, 0::2], rows[:, 0::2])
+    imag = np.einsum("tk,sk->ts", coeff[:, 1::2], rows[:, 1::2])
+    sign = np.where(times < 0, -1.0, 1.0)
+    return tuple(real[inverse, i] + 1j * sign * imag[inverse, i]
+                 for i in range(2))
 
 def xin_circle_component(b, weight, lam_n, t, abs_tol=1e-12):
     """Clockwise unit-circle part of the defining component integral.

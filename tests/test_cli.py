@@ -472,6 +472,16 @@ def test_exit_code_3_when_the_quartic_leaves_the_float_range(tmp_path, capsys):
                    "c0, c1, c2, c3, c4"}
 
 
+def test_exit_code_3_when_friedrichs_g_leaves_the_float_range(tmp_path, capsys):
+    cfg = FRIEDRICHS_SWEEP.split("[sweep]")[0].replace("g = 0.08", "g = 1e100")
+    rc = main(["friedrichs", "--config", write_cfg(tmp_path, cfg)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DomainError",
+        "message": "g = 1e+100 leaves the float range: (2 pi g^2)^2 needs "
+                   "1e-77 <= |g| <= 1e+76"}
+
+
 # ---------------------------------------------------------------------------
 # recipe behavior (datasets' qualitative structure)
 

@@ -180,6 +180,23 @@ def test_zero_coupling_has_no_poles():
         friedrichs_poles(FriedrichsParams(omega1=1.0, beta=0.5, g=0.0))
 
 
+@pytest.mark.parametrize("g", [1e100, 1e160, -1e160, 1e-160])
+def test_coupling_outside_the_float_range_is_a_domain_error(g):
+    # (2 pi g^2)^2 overflows at |g| = 1e100 and 1e160 (g ** 2 itself at
+    # 1e160) and is subnormal at 1e-160, where the companion matrix would
+    # overflow
+    with pytest.raises(DomainError, match="g = .* leaves the float range"):
+        friedrichs_poles(FriedrichsParams(omega1=1.0, beta=0.5, g=g))
+    with pytest.raises(DomainError, match="leaves the float range"):
+        survival_total(FriedrichsParams(omega1=1.0, beta=0.5, g=g), 1.0)
+
+
+def test_cubic_whose_companion_matrix_overflows_is_a_domain_error():
+    # g is in range, but beta / (2 pi g^2) is not
+    with pytest.raises(DomainError, match="the cubic leaves the float range"):
+        friedrichs_poles(FriedrichsParams(omega1=0.0, beta=1e200, g=1e-70))
+
+
 def test_narrow_resonance_keeps_its_width():
     # Im E_R ~ 1e-12: the pair is solved in y = (E - omega1)/(2 pi g^2)
     p = FriedrichsParams(omega1=1.0, beta=0.5, g=1e-6)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,7 @@ from resdyn.oracle import (
 )
 
 from conftest import FIG9_PARAMS
-from _oracles import expm_rows, lattice_matrix
+from _oracles import expm_rows, full_chain_rows, lattice_matrix
 
 
 def test_matrix_is_symmetric_and_structured():
@@ -190,10 +191,11 @@ def test_grid_equals_one_time_calls():
                          ids=["long-run", "long-lattice"])
 def test_working_memory_does_not_grow_with_order(n_sites, t_max):
     # long run: the expansion order is 2,561 and a Chebyshev vector 16 kB;
-    # the peak, about 0.7 MB, is mostly _coefficients' (21, 2562) output
-    # next to the 64 kB arrays of one FFT row; the bound leaves a third
-    # above it.  Long lattice: the light cone of the order-42 run sets the
-    # vectors' length, which at the lattice's 10^6 sites would take 16 MB
+    # the peak, about 0.62 MB, is mostly _coefficients' (21, 2562) output
+    # (0.43 MB) next to the 64 kB arrays of one FFT row; the bound leaves
+    # 0.38 MB above it.  Long lattice: the light cone of the order-42 run
+    # sets the vectors' length, which at the lattice's 10^6 sites would take
+    # 16 MB
     lat = build_hamiltonian(FIG9_PARAMS, n_sites)
     times = np.linspace(-t_max, t_max, 41)
     tracemalloc.start()
@@ -207,10 +209,12 @@ def test_working_memory_does_not_grow_with_order(n_sites, t_max):
 
 def test_fft_coefficients_match_40_digit_bessel():
     # c[:, k] holds (2 - delta_k0) (-i)^k J_k(alpha), divided by i for odd k
-    alphas = np.array([0.0, 1e-9, 0.5, 50.0, 1213.5, 2427.0])
+    # alpha = 2422.2 with k = 2540-2585 is the worst range found on the
+    # bench grid (about 1.6e-14, from rounding alpha cos theta)
+    alphas = np.array([0.0, 1e-9, 0.5, 50.0, 1213.5, 2422.2, 2427.0])
     order = _chebyshev_order(alphas[-1])
-    ks = np.array([0, 1, 2, 3, 17, 50, 51, 1000, 1213, 1214, 2400, 2427,
-                   2428, order])
+    ks = np.concatenate([[0, 1, 2, 3, 17, 50, 51, 1000, 1213, 1214, 2400,
+                          2427, 2428], np.arange(2540, 2586), [order]])
     with mp.workdps(40):
         bessel = np.array([[float(mp.besselj(int(k), mp.mpf(a))) for k in ks]
                            for a in alphas])
@@ -238,3 +242,24 @@ def test_mirrored_times_are_conjugates_bit_for_bit():
         amps = res.amplitudes[site]
         assert np.array_equal(amps.real, amps.real[::-1])
         assert np.array_equal(amps.imag[:12], -amps.imag[:12:-1])
+
+
+@pytest.mark.parametrize("params, n_sites, times", [
+    (TDotParams(1.0, 0.2, 0.0, 0.4, 1.0, 1.0), 2000,
+     np.linspace(-1000.0, 1000.0, 41)),
+    (TDotParams(0.7, -0.4, 0.2, 0.8, 0.3, 1.6), 50,
+     np.array([-70.0, -31.0, 2.5, 44.0, 70.0])),
+    (FIG9_PARAMS, 10**6, np.linspace(-5.0, 5.0, 41)),
+    (TDotParams(1.0, 0.0, 0.0, 0.4, 0.3, 1.6), 300,
+     np.linspace(-150.0, 150.0, 31)),
+    (FIG9_PARAMS, 200, np.array([0.0, 0.1, 3.0, -9.5, 60.0])),
+], ids=["bench", "past-horizon", "long-lattice", "bipartite", "with-zero"])
+def test_light_cone_matches_full_chain_bit_for_bit(params, n_sites, times):
+    # the steps past the light cone add zeros and nothing else; bipartite
+    # (eps1 = eps2 = 0): every odd d1 entry and even d2 entry is zero
+    lat = build_hamiltonian(params, n_sites)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReflectionContamination)
+        res = propagate(lat, times)
+    for site, full in zip(("d1", "d2"), full_chain_rows(lat, times)):
+        assert res.amplitudes[site].tobytes() == full.tobytes(), site
