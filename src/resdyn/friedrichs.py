@@ -6,31 +6,17 @@ component per root E_n of C, with weight w_n = 2 g^2 / C'(E_n): a real root
 B (bound or virtual) and a resonance pair R, AR, or, for a deep level with
 weak coupling, B on the first sheet and two virtual states V1, V2.
 
-The square-root branches of those closed forms are derived, not searched.
-With a = sqrt(E) (principal root) for a pole at E,
+Each component has one closed form, with no branch to choose:
 
-  A_n(t) = w sqrt(beta) [sqrt(pi/(it)) + a integral_R e^{-iu^2 t}/(u - a) du].
+  A_n(t) = w_n sqrt(beta) [sqrt(pi/(it)) + i pi rho_n w(sqrt(it) rho_n)],
 
-Rotating u onto the steepest-descent line s = sqrt(it) u (u on e^{-i pi/4} R
-for t > 0, e^{+i pi/4} R for t < 0) turns the integral into
-i pi sigma w(sigma zeta) with zeta = sqrt(it) a, sigma = sign Im zeta and the
-Faddeeva function w(z) = e^{-z^2} erfc(-iz) (DLMF 7.2.3, 7.7.2), plus the
-residue at a when the rotation sweeps over it (c = -1: arg a in (-pi/4, 0)
-for t > 0, (0, pi/4) for t < 0; else c = +1).  With erfc(-x) = 2 - erfc(x)
-both cases read i pi c sigma e^{-iEt} erfc(-i c sigma zeta), so ``_fm7_value``
-takes sa = -c sigma and sb = -c sigma kappa, where kappa = zeta/sqrt(iEt) =
-+-1 relates zeta to the principal root it evaluates.  Across arg a = -+pi/4
-sigma and c flip together, and c sigma = sign Im a on every ray, so the
-rule is computed as sa = -sign Im sqrt(E), sb = sa kappa: one pair per pole
-and sign of t, kept on the pole by ``friedrichs_poles``, with no quadrature.
+where rho_n is the square root of E_n in the upper half-plane and
+w(z) = e^{-z^2} erfc(-iz) is the Faddeeva function (DLMF 7.2.3,
+``kernel.faddeeva``), which neither overflows nor underflows at large
+|t Im E_n|.  The weights of a monic cubic sum to zero, so the
+sqrt(pi/(it)) terms cancel exactly from the survival amplitude
 
-With z_n = i sqrt(i E_n t), the product e^{-iE_n t} erfc(sb z_n) is the
-single Faddeeva value w(i sb z_n) (``kernel.faddeeva``), which neither
-overflows nor underflows at large |t Im E_n|.  The weights of a monic cubic
-sum to zero, so the sqrt(pi/(it)) terms cancel exactly from the survival
-amplitude
-
-  A(t) = r_B e^{-i E_B t} - i pi sqrt(beta) sum_n w_n sa_n sqrt(E_n) w(i sb_n z_n),
+  A(t) = r_B e^{-i E_B t} + i pi sqrt(beta) sum_n w_n rho_n w(sqrt(it) rho_n),
 
 r_B being the residue of the Green's function at B (0 for a virtual
 state); at t = 0, w(0) = 1.  ``a_cut_direct`` integrates the cut instead,
@@ -88,13 +74,11 @@ class FriedrichsParams:
 
 @dataclass(frozen=True)
 class Pole:
-    """A root E_n of the cubic, its label, its partial-fraction weight and
-    the (sa, sb) of ``_fm7_value`` for t > 0 and for t < 0."""
+    """A root E_n of the cubic, its label and its partial-fraction weight."""
 
     label: str
     energy: complex
     weight: complex
-    branches: tuple
 
 
 @dataclass(frozen=True)
@@ -149,7 +133,7 @@ def _eta_negative_axis(params, e):
 
 def _eta_prime_negative_axis(params, e):
     u = np.sqrt(-params.beta * e)
-    return 1.0 + _two_pi_g2(params) * params.beta ** 2 / (2.0 * u * (params.beta + u) ** 2)
+    return 1.0 + _two_pi_g2(params) / (2.0 * u * (1.0 + u / params.beta) ** 2)
 
 
 def _scaled_cubic(params):
@@ -194,11 +178,13 @@ def friedrichs_poles(params):
     """The roots of the cubic with their labels and weights.
 
     One real root and a conjugate pair are labelled B, R, AR; three real
-    roots B, V1, V2, where B is the one that solves the first-sheet
-    level-shift equation (at most one does, as that function increases
-    monotonically on E < 0).  g = 0 raises DomainError, as does a g outside
-    [1e-77, 1e76], where (2 pi g^2)^2 leaves the normal float range, or a
-    cubic whose companion matrix would overflow.
+    roots B, V1, V2, where B is the one with the smallest first-sheet
+    level-shift function eta_1.  As eta_1 rises from -inf to
+    2 pi g^2 - omega1 on E < 0, B is a true bound state exactly when
+    omega1 < 2 pi g^2, and otherwise a virtual state.  g = 0 raises
+    DomainError, as does a g outside [1e-77, 1e76], where (2 pi g^2)^2
+    leaves the normal float range, or a cubic whose companion matrix would
+    overflow.
     """
     if params.g == 0.0:
         raise DomainError("g = 0 decouples the level: there is no cut")
@@ -206,7 +192,7 @@ def friedrichs_poles(params):
         raise DomainError(f"g = {params.g:g} leaves the float range: "
                           f"(2 pi g^2)^2 needs {_G_RANGE[0]:g} <= |g| <= "
                           f"{_G_RANGE[1]:g}")
-    beta, tpg = params.beta, _two_pi_g2(params)
+    tpg = _two_pi_g2(params)
     cubic = _scaled_cubic(params)
     with np.errstate(over="ignore"):
         companion = cubic[:-1] / tpg
@@ -219,10 +205,7 @@ def friedrichs_poles(params):
     reals = np.sort(_newton_on_quartic(
         params, np.array([r.real for r in roots if r.imag == 0])))
     lower = [r for r in roots if r.imag < 0]
-    eta_first = _eta_negative_axis(params, reals)
-    eta_second = (reals - params.omega1
-                  + tpg * beta / (beta - np.sqrt(-beta * reals)))
-    b = int(np.argmin(np.abs(eta_first) - np.abs(eta_second)))
+    b = int(np.argmin(np.abs(_eta_negative_axis(params, reals))))
     e_bound = float(reals[b])
     if len(lower):
         e_res = complex(lower[0])
@@ -239,17 +222,12 @@ def friedrichs_poles(params):
         for n in energies}
     if "AR" in weights:
         weights["AR"] = weights["R"].conjugate()
-    # a true bound state exists only when B zeroes the first-sheet
-    # level-shift function; otherwise it is a virtual state and the
-    # survival amplitude is carried by the cut alone (A_cut(0) = 1)
-    if abs(eta_first[b]) <= abs(eta_second[b]):
-        bound_residue = float(1.0 / _eta_prime_negative_axis(params, e_bound))
-    else:
-        bound_residue = 0.0
+    # a virtual state leaves the survival amplitude to the cut alone
+    # (A_cut(0) = 1)
+    bound_residue = (float(1.0 / _eta_prime_negative_axis(params, e_bound))
+                     if params.omega1 < tpg else 0.0)
     return FriedrichsPoles(
-        tuple(Pole(n, e, weights[n], (_erfc_branches(e, 1),
-                                      _erfc_branches(e, -1)))
-              for n, e in energies.items()),
+        tuple(Pole(n, e, weights[n]) for n, e in energies.items()),
         bound_residue, params)
 
 
@@ -405,58 +383,49 @@ def a_cut_direct(params, t, tol=DEFAULT_TOLERANCES, poles=None):
 # closed forms
 
 
-def _faddeeva_term(beta, weight, energy, t, sign_root_e, sign_erfc):
-    """-i pi sqrt(beta) w sa sqrt(E) w(i sb z): the part of a pole's cut
-    component that survives in the sum over the poles (module docstring).
-    The arguments broadcast against each other, so one Faddeeva call serves
-    any number of poles and times."""
-    z = 1j * np.sqrt(1j * energy * t)
-    return (-1j * np.pi * np.sqrt(beta) * weight * sign_root_e
-            * np.sqrt(energy) * faddeeva(1j * sign_erfc * z))
+def _faddeeva_term(beta, weight, energy, t):
+    """i pi sqrt(beta) w rho w(sqrt(it) rho), rho the root of E in the upper
+    half-plane: the part of a pole's cut component that survives in the sum
+    over the poles (module docstring).  The arguments broadcast against each
+    other, so one Faddeeva call serves any number of poles and times."""
+    root = np.sqrt(energy)
+    rho = np.where(root.imag > 0, root, -root)
+    # sqrt(it) rho is taken as the principal sqrt(iEt), negated onto its
+    # side, not as the product: that keeps every printed digit of the
+    # bundled outputs, which the product moves by up to 1.1e-13 relative
+    # without being more accurate (both are within 4e-15 of 40 digits on
+    # fig11's grid)
+    z = np.sqrt(1j * energy * t)
+    z = np.where((z * np.conj(np.sqrt(1j * t) * rho)).real < 0, -z, z)
+    return 1j * np.pi * np.sqrt(beta) * weight * rho * faddeeva(z)
 
 
-def _fm7_value(beta, weight, energy, t, sign_root_e, sign_erfc):
+def _fm7_value(beta, weight, energy, t):
     term1 = np.sqrt(-1j * (np.pi / t))  # sqrt(pi/(it)), rounded once
     return (weight * np.sqrt(beta) * term1
-            + _faddeeva_term(beta, weight, energy, t, sign_root_e, sign_erfc))
+            + _faddeeva_term(beta, weight, energy, t))
 
 
-def _erfc_branches(energy, t_sign):
-    """(sa, sb) of ``_fm7_value`` for a pole at ``energy`` and times of sign
-    t_sign: sa = -sign Im sqrt(E) and sb = sa kappa (module docstring)."""
-    ts = np.array([float(t_sign)])  # the array arithmetic of _fm7_value
-    root_e = np.sqrt(energy)
-    sa = -1.0 if root_e.imag > 0 else 1.0
-    kappa = (np.sqrt(1j * ts) * root_e / np.sqrt(1j * energy * ts))[0].real
-    return sa, (sa if kappa > 0 else -sa)
-
-
-def _pole_columns(poles, times):
-    """The weights and energies of ``poles.roots`` as columns, and their
-    (sa, sb) at every time (poles x times): each time takes the branches of
-    its sign, and t = 0 those of t > 0."""
-    weight = np.array([[pole.weight] for pole in poles.roots])
-    energy = np.array([[pole.energy] for pole in poles.roots])
-    pairs = np.moveaxis([pole.branches for pole in poles.roots], 0, -1)
-    sa, sb = np.where(times < 0.0, pairs[1, ..., None], pairs[0, ..., None])
-    return weight, energy, sa, sb
+def _pole_columns(poles):
+    """The weights and energies of ``poles.roots`` as columns."""
+    return (np.array([[pole.weight] for pole in poles.roots]),
+            np.array([[pole.energy] for pole in poles.roots]))
 
 
 def a_components(params, t, poles=None):
     """Closed-form cut components A_n(t) of every pole, one row per pole in
     ``poles.roots`` order, from one Faddeeva call.
 
-    ``t`` is a time (a row is then one value) or a 1-d grid.  The
-    square-root branches follow from the pole and the sign of t alone
-    (module docstring), so no quadrature is made; t = 0 is rejected because
-    individual components diverge there.
+    ``t`` is a time (a row is then one value) or a 1-d grid.  The closed
+    form has no branch to choose (module docstring), so no quadrature is
+    made; t = 0 is rejected because individual components diverge there.
     """
     times, scalar = _time_grid(t)
     if np.any(times == 0.0):
         raise DomainError("single cut components diverge at t = 0")
     p = _poles_of(params, poles)
-    weight, energy, sa, sb = _pole_columns(p, times)
-    out = _fm7_value(params.beta, weight, energy, times, sa, sb)
+    weight, energy = _pole_columns(p)
+    out = _fm7_value(params.beta, weight, energy, times)
     return out[:, 0] if scalar else out
 
 
@@ -476,9 +445,8 @@ def a_component_asymptotic(params, t, poles=None):
     This is the leading term of the erfc expansion of the closed form in the
     large-negative-time regime, where the resonant component is suppressed;
     for t > 0 the component also carries the pole term e^{-iE_R t}, which
-    this form omits, so t >= 0 raises DomainError.  The sign, -sa sb, comes
-    from the resonant pole's t < 0 branches.  Warns when -t |E_R| is not
-    large.
+    this form omits, so t >= 0 raises DomainError.  Warns when -t |E_R| is
+    not large.
     """
     times, scalar = _time_grid(t)
     if np.any(times >= 0.0):
@@ -490,10 +458,8 @@ def a_component_asymptotic(params, t, poles=None):
     if -times.max() * abs(res.energy) < 10.0:
         warnings.warn("asymptotic resonant form used at -t |E_R| < 10",
                       ValidityWarning)
-    sa, sb = res.branches[1]
-    zeta = 1j * np.sqrt(1j * res.energy * times)
-    out = (-sa * sb * res.weight * np.sqrt(np.pi * params.beta * res.energy)
-           * (-1j) / (2.0 * zeta ** 3))
+    out = (-res.weight * np.sqrt(np.pi * params.beta)
+           / (2.0 * np.sqrt(1j * times) ** 3 * res.energy))
     return complex(out[0]) if scalar else out
 
 
@@ -505,8 +471,8 @@ def survival_total(params, t, poles=None):
     summed in their order."""
     times, scalar = _time_grid(t)
     p = _poles_of(params, poles)
-    weight, energy, sa, sb = _pole_columns(p, times)
+    weight, energy = _pole_columns(p)
     total = p.bound_residue * np.exp(-1j * p["B"].energy.real * times)
-    for term in _faddeeva_term(params.beta, weight, energy, times, sa, sb):
+    for term in _faddeeva_term(params.beta, weight, energy, times):
         total += term
     return complex(total[0]) if scalar else total

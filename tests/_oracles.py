@@ -6,8 +6,9 @@ integrate scipy's J1 with scipy's quad, the contour oracles
 quadrature the defining integrals directly, the root tracker continues
 an eigenvalue branch step by step instead of using the closed forms, the
 Friedrichs branch search picks the erfc square-root branches by comparison
-with the defining integral instead of the derived rule, the Friedrichs
-pole sum is redone at 40 digits with mpmath's roots and erfc, the
+with the defining integral, evaluating its candidates with scipy's wofz,
+instead of the derived rule, the Friedrichs pole sum is redone at 40 or
+more digits with mpmath's roots and erfc and a bisected bound state, the
 truncated-lattice amplitudes come from scipy's expm_multiply instead of a
 Chebyshev expansion (and, to pin the light cone bit for bit, from the
 Chebyshev recurrence over the whole chain), and the polynomial roots are found one polynomial at a
@@ -22,7 +23,7 @@ from numpy.polynomial.polynomial import polyder, polyroots, polyval
 from scipy import integrate, sparse, special
 from scipy.sparse.linalg import expm_multiply
 
-from resdyn.friedrichs import _cut_main_breakpoints, _fm7_value, _tail_rotated
+from resdyn.friedrichs import _cut_main_breakpoints, _tail_rotated
 from resdyn.kernel import piecewise_quad
 from resdyn.lattice import f_lambda, h_lambda
 from resdyn.oracle import _chebyshev_order, _coefficients
@@ -250,6 +251,17 @@ def friedrichs_component_quad(params, energy, weight, t, tol):
     return weight * (main.value + tail)
 
 
+def friedrichs_branch_value(beta, weight, energy, t, sa, sb):
+    """The erfc closed form of one cut component with the sign pair
+    (sa, sb), by scipy's wofz: w sqrt(beta) sqrt(pi/(it)) - i pi sqrt(beta)
+    w sa sqrt(E) e^{-iEt} erfc(sb z), z = i sqrt(iEt), where
+    e^{-iEt} erfc(sb z) = wofz(i sb z)."""
+    z = 1j * np.sqrt(1j * energy * t)
+    return (weight * np.sqrt(beta) * np.sqrt(np.pi / (1j * t))
+            - 1j * np.pi * np.sqrt(beta) * weight * sa * np.sqrt(energy)
+            * special.wofz(1j * sb * z))
+
+
 def friedrichs_branch_search(params, energy, weight, t_sign, tol):
     """(sa, sb, mismatch): of the four erfc sign pairs of the closed form,
     the one closest to the defining integral at two small times of sign
@@ -266,20 +278,28 @@ def friedrichs_branch_search(params, energy, weight, t_sign, tol):
                     refs[t] = friedrichs_component_quad(params, energy, weight,
                                                         t, tol)
                 ref = refs[t]
-                val = _fm7_value(params.beta, weight, energy, np.array([t]),
-                                 sa, sb)[0]
+                val = friedrichs_branch_value(params.beta, weight, energy, t,
+                                              sa, sb)
                 worst = max(worst, abs(val - ref) / max(abs(ref), 1e-300))
             if best is None or worst < best[2]:
                 best = (sa, sb, worst)
     return best
 
 
-def friedrichs_total_mp(params, times, dps=40):
+def friedrichs_total_mp(params, times, dps=None):
     """The Friedrichs survival amplitude as the sum over the cubic's roots,
     at ``dps`` digits: the quartic built from its definition and deflated
-    by E = -beta, roots by ``mp.polyroots``, weights 2 g^2 / C'(E_n), the
-    bound residue by differentiating the first-sheet level-shift function,
-    and e^{-iEt} erfc(sb zeta) from ``mp.erfc``."""
+    by E = -beta, roots by ``mp.polyroots``, weights 2 g^2 / C'(E_n), and
+    e^{-iEt} erfc(sb zeta) from ``mp.erfc``.  The bound state, which exists
+    when omega1 < 2 pi g^2, is the zero of the first-sheet level-shift
+    function eta_1 found by bisection, as eta_1 rises monotonically on
+    E < 0, and its residue is 1/eta_1' from ``mp.diff``.
+
+    The resonance pair is O(g^2) apart, and rounding the cubic's
+    coefficients to dps digits moves it by 10^-dps / g^4 relative; so dps
+    defaults to 40, raised by 4 per decade of g below 1e-4."""
+    if dps is None:
+        dps = max(40, 24 + 4 * round(-math.log10(abs(params.g))))
     with mp.workdps(dps):
         w1, beta, g = (mp.mpf(x) for x in (params.omega1, params.beta, params.g))
         tpg = 2 * mp.pi * g ** 2
@@ -295,12 +315,20 @@ def friedrichs_total_mp(params, times, dps=40):
                  for r in mp.polyroots(cubic, maxsteps=200, extraprec=2 * dps)]
 
         def eta_first(e):
-            return e - w1 + tpg * (beta - mp.sqrt(-beta * e)) / (beta + e)
+            return e - w1 + tpg * beta / (beta + mp.sqrt(-beta * e))
 
         bound = []
-        for r in roots:
-            if mp.im(r) == 0 and abs(eta_first(mp.re(r))) < mp.mpf(10) ** (10 - dps):
-                bound.append((mp.re(r), 1 / mp.diff(eta_first, mp.re(r))))
+        if w1 < tpg:
+            # eta_1 < 0 at w1 - tpg, as beta/(beta + u) < 1 there
+            lo, hi = w1 - tpg, mp.mpf(0)
+            mid = (lo + hi) / 2
+            while mid not in (lo, hi):
+                if eta_first(mid) < 0:
+                    lo = mid
+                else:
+                    hi = mid
+                mid = (lo + hi) / 2
+            bound.append((lo, 1 / mp.diff(eta_first, lo)))
         out = []
         for t in times:
             t = mp.mpf(float(t))

@@ -1,13 +1,14 @@
-"""The derived erfc square-root branches of the Friedrichs cut components
-and the survival amplitude summed over the cubic's roots.
+"""The closed forms of the Friedrichs cut components and the survival
+amplitude summed over the cubic's roots.
 
 Property-based checks over the parameter domain (including true bound
-states, resonances with Re E_R near 0, narrow resonances and cubics with
-three real roots) and over synthetic poles next to the arg sqrt(E) = +-pi/4
-rays where the rule's ingredients change sign: the derived pair equals the
-pick of the quadrature search in ``_oracles``, the closed form matches the
-defining integral, and the pole sum matches a 40-digit evaluation and the
-cut quadrature.
+states, resonances with Re E_R near 0, narrow resonances, weak coupling
+and cubics with three real roots) and over synthetic poles next to the
+arg sqrt(E) = +-pi/4 rays where the erfc branches change: the closed form
+equals the branch pair that the quadrature search in ``_oracles`` picks
+and matches the defining integral, and the pole sum matches a 40-digit
+evaluation and the cut quadrature.  The cases of the domain that still
+fail are strict xfails.
 """
 
 import json
@@ -20,7 +21,7 @@ from scipy.optimize import brentq
 
 from resdyn import friedrichs as fm
 from resdyn.cli import main
-from resdyn.errors import DomainError, ResdynError
+from resdyn.errors import DomainError, NonConvergence, ResdynError
 from resdyn.friedrichs import (
     FriedrichsParams,
     a_component,
@@ -31,6 +32,7 @@ from resdyn.lattice import DEFAULT_TOLERANCES
 
 from _oracles import (
     friedrichs_branch_search,
+    friedrichs_branch_value,
     friedrichs_component_quad,
     friedrichs_total_mp,
 )
@@ -87,8 +89,11 @@ def test_derived_branches_equal_search_and_defining_integral(params):
             sa, sb, mismatch = friedrichs_branch_search(
                 params, energy, weight, t_sign, DEFAULT_TOLERANCES)
             assert mismatch < 1e-6
-            assert fm._erfc_branches(energy, t_sign) == (sa, sb), label
             t = t_sign * 2.3 / _scale(energy, params)
+            searched = friedrichs_branch_value(params.beta, weight, energy, t,
+                                               sa, sb)
+            got = fm._fm7_value(params.beta, weight, energy, np.array([t]))[0]
+            assert abs(got - searched) <= 1e-12 * abs(searched), label
             ref = friedrichs_component_quad(params, energy, weight, t,
                                             DEFAULT_TOLERANCES)
             got = a_component(params, label, t, poles=poles)
@@ -108,12 +113,12 @@ def test_derived_branches_next_to_the_quarter_rays(r, upper, delta):
         sa, sb, mismatch = friedrichs_branch_search(
             params, energy, 1.0, t_sign, DEFAULT_TOLERANCES)
         assert mismatch < 1e-6
-        assert fm._erfc_branches(energy, t_sign) == (sa, sb), t_sign
         t = t_sign * 2.3 / _scale(energy, params)
+        searched = friedrichs_branch_value(params.beta, 1.0, energy, t, sa, sb)
+        got = fm._fm7_value(params.beta, 1.0, energy, np.array([t]))[0]
+        assert abs(got - searched) <= 1e-12 * abs(searched), t
         ref = friedrichs_component_quad(params, energy, 1.0, t,
                                         DEFAULT_TOLERANCES)
-        got = fm._fm7_value(params.beta, 1.0, energy, np.array([t]),
-                            *fm._erfc_branches(energy, t_sign))[0]
         assert abs(got - ref) <= 1e-6 * abs(ref), t
 
 
@@ -168,6 +173,11 @@ THREE_REAL_PARAMS = st.one_of(
               beta=st.floats(0.09, 0.11), g=st.floats(0.27, 0.33)),
 )
 ALL_PARAMS = st.one_of(PARAMS, NARROW_PARAMS, THREE_REAL_PARAMS)
+# weak coupling: a resonance of width down to ~1e-30 and a virtual state
+# that rounds onto E = -beta; omega1 >= 0.05 is far above 2 pi g^2
+WEAK_PARAMS = st.builds(FriedrichsParams, omega1=st.floats(0.05, 3.0),
+                        beta=st.floats(0.05, 2.0),
+                        g=st.floats(-15.0, -4.0).map(lambda x: 10.0 ** x))
 # mirrored, with t = 0; |E t| stays small enough that rounding E t costs
 # no more than ~1e-14
 MIRRORED_TIMES = np.array([-25.0, -7.3, -0.9, 0.0, 0.9, 7.3, 25.0])
@@ -181,10 +191,16 @@ def test_three_real_roots_are_one_bound_and_two_virtual_states(params):
     assert poles["V1"].energy.real < poles["V2"].energy.real < 0.0
 
 
-@given(ALL_PARAMS)
+@given(st.one_of(ALL_PARAMS, WEAK_PARAMS))
+@example(FriedrichsParams(1.0, 0.5, 1e-9))
+@example(FriedrichsParams(0.5, 0.5, 1e-10))
+@example(FriedrichsParams(0.3, 2.0, 1e-15))
 def test_pole_sum_matches_40_digits(params):
-    # the 40-digit sum at t >= 0, mirrored by A(-t) = conj A(t)
-    poles = _poles_or_reject(params)
+    # the 40-digit sum at t >= 0, mirrored by A(-t) = conj A(t); every
+    # drawn set must solve
+    poles = friedrichs_poles(params)
+    if params.g <= 1e-4:
+        assert poles.bound_residue == 0.0
     values = fm.survival_total(params, MIRRORED_TIMES, poles=poles)
     half = friedrichs_total_mp(params, MIRRORED_TIMES[3:])
     reference = np.concatenate((np.conj(half[:0:-1]), half))
@@ -256,10 +272,8 @@ rel_tol = {rel_tol}
 
 
 def test_flipped_branch_exits_3(tmp_path, capsys, monkeypatch):
-    derived = fm._erfc_branches
-    monkeypatch.setattr(fm, "_erfc_branches",
-                        lambda energy, t_sign: (derived(energy, t_sign)[0],
-                                                -derived(energy, t_sign)[1]))
+    faddeeva = fm.faddeeva
+    monkeypatch.setattr(fm, "faddeeva", lambda z: faddeeva(-z))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FRIEDRICHS_ORACLE.format(abs_tol=1e-10, rel_tol=1e-8))
     out = tmp_path / "oracle.json"
@@ -283,3 +297,80 @@ def test_branch_check_passes_at_loose_and_tight_tolerances(tmp_path, abs_tol,
     report = json.loads(out.read_text())
     assert report["pass"] is True
     assert set(report["deviations"]) == {"total"}
+
+
+# ---------------------------------------------------------------------------
+# the edges of the domain on the command line
+
+FRIEDRICHS_RUN = """
+[run]
+schema_version = 1
+model = friedrichs
+command = {command}
+
+[params]
+omega1 = {omega1}
+beta = {beta}
+g = {g}
+
+[time]
+t_min = -2.0
+t_max = 2.0
+n_points = 5
+"""
+
+
+def _run(tmp_path, command, omega1, beta, g):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FRIEDRICHS_RUN.format(command=command, omega1=omega1,
+                                         beta=beta, g=g))
+    out = tmp_path / ("out.json" if command == "oracle-check" else "out.csv")
+    return main([command, "--config", str(cfg), "--out", str(out)]), out
+
+
+def _zero_time_row(out):
+    return [row for row in out.read_text().splitlines()
+            if row.startswith("0,")]
+
+
+def test_weak_coupling_has_no_bound_state(tmp_path):
+    # B = -beta + O(g^4) rounds onto -beta; it is a virtual state, and
+    # A(0) = 1 (not 2)
+    rc, out = _run(tmp_path, "friedrichs", 1.0, 0.5, 1e-9)
+    assert rc == 0
+    assert _zero_time_row(out) == ["0,1,0,1"]
+
+
+def test_bound_residue_at_the_float_range_never_exits_1(tmp_path):
+    # u = sqrt(-beta E_B) overflows to inf, and the residue is then 1
+    rc, out = _run(tmp_path, "friedrichs", -1e200, 1e200, 1e-50)
+    assert rc == 0
+    assert _zero_time_row(out) == ["0,1,0,1"]
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergence,
+                   reason="ROADMAP item 2: at g = 1e-16 the huge virtual root "
+                          "misses the cubic's backward-error gate")
+def test_poles_solve_below_g_1e_15():
+    params = FriedrichsParams(1.0, 0.5, 1e-16)
+    poles = friedrichs_poles(params)
+    assert abs(fm.survival_total(params, 0.0, poles=poles) - 1.0) <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the bound root and its partner "
+                          "collide at g = 1e-9, so column re_a is not finite "
+                          "(exit 3)")
+def test_deep_level_at_weak_coupling_exits_0(tmp_path, capsys):
+    rc, out = _run(tmp_path, "friedrichs", -1.0, 0.5, 1e-9)
+    assert rc == 0, capsys.readouterr().err
+    assert _zero_time_row(out) == ["0,1,0,1"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: a_cut_direct cannot resolve the "
+                          "resonance of width 6e-14 at g = 1e-7 (deviation 1.0)")
+def test_oracle_check_resolves_a_narrow_resonance(tmp_path):
+    rc, out = _run(tmp_path, "oracle-check", 1.0, 0.5, 1e-7)
+    assert rc == 0
+    assert json.loads(out.read_text())["pass"] is True
