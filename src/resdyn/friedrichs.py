@@ -20,8 +20,10 @@ sqrt(pi/(it)) terms cancel exactly from the survival amplitude
 
 r_B being the residue of the Green's function at B (0 for a virtual
 state); at t = 0, w(0) = 1.  ``a_cut_direct`` integrates the cut instead,
-sharing none of this, as the reference of ``oracle-check``.  The functions
-that take ``poles=`` reject poles solved for other parameters.
+turned onto one ray from E = 0 with the residues of the poles it passes
+written out from the energies, sharing none of this, as the reference of
+``oracle-check``.  The functions that take ``poles=`` reject poles solved
+for other parameters.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .kernel import (
 )
 from .lattice import (
     DEFAULT_TOLERANCES,
-    _BLOCK,
     _failure_message,
     _time_grid,
 )
@@ -245,137 +246,68 @@ def _poles_of(params, poles):
 # the reference: quadrature of the cut integral
 
 
-def _octave_groups(scale):
-    """Index arrays of the entries of ``scale`` (> 0) that share an octave
-    (2^(k-1), 2^k], ascending in scale within each group."""
-    if not len(scale):
-        return []
-    order = np.argsort(scale, kind="stable")
-    octave = np.ceil(np.log2(scale[order]))
-    return np.split(order, np.flatnonzero(np.diff(octave)) + 1)
-
-
-def _grid_quad(integrand, pts, times, tol, what):
-    """integral over the panels ``pts`` of integrand(times)(x), an
-    (n_nodes, len(times)) array, for every time at once.
-
-    Times go in chunks that keep a first pass's nodes x times block near
-    _BLOCK values; each chunk is one vector-valued quadrature, and a
-    failure names ``what`` and the chunk's span of times.
-    """
-    width = max(1, _BLOCK // (15 * (len(pts) - 1)))
-    out = np.empty(len(times), dtype=complex)
-    for start in range(0, len(times), width):
-        chunk = times[start:start + width]
-        try:
-            out[start:start + width] = piecewise_quad(
-                integrand(chunk), pts, abs_tol=tol.abs_tol,
-                rel_tol=tol.rel_tol).value
-        except QuadratureError as exc:
-            raise type(exc)(_failure_message(what, chunk, tol, exc),
-                            result=exc.result) from exc
-    return out
-
-
-def _tail_rotated(f_of_e, e0, times, tol, what):
-    """integral_{e0}^inf f(E) e^{-iEt} dE for a group of times of one sign,
-    by rotating the ray into the decaying half-plane (downward for t > 0,
-    upward for t < 0); t = 0 comes as a group of its own, integrated once
-    on E = e0/s, s in (0, 1], as one column.
-
-    f_of_e must be analytic and power-decaying in the swept quadrant; the
-    rotation point e0 must exceed the real parts of all its poles.  The
-    group shares the panel edges of its largest |t|, continued out to the
-    cutoff of its smallest.
-    """
-    if times[0] == 0.0:
-        def mapped(s):
-            e = e0 / s
-            return (f_of_e(e.astype(complex)) * e0 / s ** 2)[:, None]
-
-        value = _grid_quad(lambda tc: mapped, np.array([0.0, 1.0]), times[:1],
-                           tol, what)
-        return np.full(len(times), value[0])
-    direction = -1j if times[0] > 0 else 1j
-    t_lo, t_hi = np.abs(times).min(), np.abs(times).max()
-    reach = np.log(1.0 / tol.abs_tol) + 8.0  # e^{-reach} below abs_tol
-    x_cut = reach / t_lo
-    pts = [0.0]
-    # the first panel must also resolve f's own decay on the scale of e0
-    step = min(1.0 / t_hi, reach / t_hi / 4.0, e0)
-    x = step
-    while x < x_cut:
-        pts.append(x)
-        x *= 4.0
-    pts.append(x_cut)
-
-    def integrand(tc):
-        def f(x):
-            e = e0 + direction * x
-            return (f_of_e(e)[:, None] * np.exp((-1j * e)[:, None] * tc[None, :])
-                    * direction)
-
-        return f
-
-    return _grid_quad(integrand, np.array(pts), times, tol, what)
-
-
-def _cut_main_breakpoints(u0, t, special_u):
-    pts = [0.0, u0] + [u for u in special_u if 0.0 < u < u0]
-    if t != 0.0:
-        # the chirp's half-period points sqrt(k pi/|t|) below u0
-        u = np.sqrt(np.arange(1, int(u0 * u0 * abs(t) / np.pi) + 2)
-                    * np.pi / abs(t))
-        pts = np.concatenate((pts, u[u < u0]))
-    # sorted and deduplicated by hand: np.unique imports numpy.ma on first use
-    out = np.sort(pts)
-    return out[np.concatenate(([True], np.diff(out) > 1e-13 * u0))]
-
-
 def a_cut_direct(params, t, tol=DEFAULT_TOLERANCES, poles=None):
     """Branch-cut part of the survival amplitude by direct quadrature.
 
-    The E integral is split at e0 = max(50 beta, 50 |E_R|); below that the
-    substitution u = sqrt(E) removes the endpoint singularity and the chirp
-    e^{-i u^2 t} is split at half-period points, beyond it the contour is
-    rotated into the decaying half-plane.
+    A_cut(t) is the integral over E in [0, inf) of f(E) e^{-iEt}, with
+    f = sqrt(beta E) ``cut_integrand_rational``.  For t >= 0 the cut is
+    turned clockwise about E = 0 onto the ray E = s e^{-i phi}, on which
+    e^{-iEt} decays; phi is pi/2 or pi/4, whichever lies farther in angle
+    from every pole, so a narrow resonance leaves the ray smooth.  Each pole
+    E_n that the turn passes (in practice R) adds -2 pi i times the residue
+    of f e^{-iEt} there, sqrt(beta E_n) 2 g^2 / prod_{m != n} (E_n - E_m)
+    e^{-iE_n t}, written out from the energies and not read from the
+    weights.  f is real on E > 0, so A_cut(-t) = conj A_cut(t).
 
-    ``t`` is a time or a 1-d grid (a grid gives an array).  Only the phases
-    e^{-iu^2 t} and e^{-iEt} depend on t, so the times are grouped by sign
-    and octave of |t|, t = 0 alone, and each group is one vector-valued
-    quadrature on the panel edges its largest |t| needs.
+    ``t`` is a time or a 1-d grid (a grid gives an array).  The distinct
+    |t| are one vector-valued quadrature on x in (0, 1), in blocks of
+    1,024 columns, with E = (sigma x/(1 - x))^2 e^{-i phi} and
+    sigma = (|t| + 1/scale)^{-1/2}, scale the largest |E_n|: each column
+    sees the decay of its phase and of f on the same x.
     """
     times, scalar = _time_grid(t)
     p = _poles_of(params, poles)
-    beta = params.beta
-    energies = [pole.energy for pole in p.roots]
-    e0 = max(50.0 * beta, 50.0 * max(map(abs, energies)),
-             10.0 * abs(params.omega1), 10.0)
-    u0 = np.sqrt(e0)
-    u_res = max(float(np.sqrt(e).real) for e in energies)
-    special_u = (u_res - 0.2, u_res, u_res + 0.2, np.sqrt(beta))
+    energies = np.array([pole.energy for pole in p.roots])
+    phi = max((np.pi / 2, np.pi / 4),
+              key=lambda a: np.abs(np.angle(energies * np.exp(1j * a))).min())
+    turn = np.exp(-1j * phi)
+    scale = np.abs(energies).max()
+    mags, inverse = np.unique(np.abs(times), return_inverse=True)
+    # pole n sits near x = sqrt(|E_n| (|t| + 1/scale)), far inside the first
+    # panel when |E_n| << scale: edges at x = 4^-k, k = 0 ... depth, give
+    # every factor 16 in |E| down to the smallest pole a panel of its own (a
+    # root at E = 0 is the endpoint, which the map already resolves)
+    log_moduli = np.log2(np.abs(energies[energies != 0.0]))
+    depth = np.floor((log_moduli.max() - log_moduli.min()) / 4.0)
+    edges = np.concatenate(([0.0], 4.0 ** np.arange(-depth, 1)))
 
-    def main_integrand(tc):
-        def f(u):
-            e = (u * u).astype(complex)
-            rat = cut_integrand_rational(params, e)
-            weight = 2.0 * np.sqrt(beta) * u * u * rat
-            return weight[:, None] * np.exp((-1j * e.real)[:, None] * tc[None, :])
+    def ray_integral(cols):
+        sigma2 = 1.0 / (cols + 1.0 / scale)
 
-        return f
+        def integrand(x):
+            r = (x / (1.0 - x))[:, None]
+            e = sigma2 * r * r * turn
+            de = 2.0 * sigma2 * r / (1.0 - x[:, None]) ** 2 * turn
+            return (np.sqrt(params.beta * e) * cut_integrand_rational(params, e)
+                    * np.exp(-1j * e * cols) * de)
 
-    def f_tail(e):
-        return np.sqrt(beta * e) * cut_integrand_rational(params, e)
+        return piecewise_quad(integrand, edges, abs_tol=tol.abs_tol,
+                              rel_tol=tol.rel_tol).value
 
-    groups = [np.flatnonzero(times == 0.0)]
-    for side in (np.flatnonzero(times > 0.0), np.flatnonzero(times < 0.0)):
-        groups += [side[g] for g in _octave_groups(np.abs(times[side]))]
-    out = np.empty(len(times), dtype=complex)
-    for idx in filter(len, groups):
-        tg = times[idx]
-        pts = _cut_main_breakpoints(u0, np.abs(tg).max(), special_u)
-        out[idx] = (_grid_quad(main_integrand, pts, tg, tol, "Friedrichs cut main")
-                    + _tail_rotated(f_tail, e0, tg, tol, "Friedrichs cut tail"))
+    try:
+        # 1,024 columns at a time hold the refinement near 10 MB
+        value = np.concatenate([ray_integral(mags[i:i + 1024])
+                                for i in range(0, len(mags), 1024)])
+    except QuadratureError as exc:
+        raise type(exc)(_failure_message("Friedrichs cut", times, tol, exc),
+                        result=exc.result) from exc
+    for n, energy in enumerate(energies):
+        if -phi < np.angle(energy) < 0.0:
+            residue = (np.sqrt(params.beta * energy) * 2.0 * params.g ** 2
+                       / np.prod(energy - np.delete(energies, n)))
+            value = value - 2j * np.pi * residue * np.exp(-1j * energy * mags)
+    out = value[inverse]
+    out = np.where(times < 0.0, out.conj(), out)
     return complex(out[0]) if scalar else out
 
 

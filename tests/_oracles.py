@@ -23,7 +23,6 @@ from numpy.polynomial.polynomial import polyder, polyroots, polyval
 from scipy import integrate, sparse, special
 from scipy.sparse.linalg import expm_multiply
 
-from resdyn.friedrichs import _cut_main_breakpoints, _tail_rotated
 from resdyn.kernel import piecewise_quad
 from resdyn.lattice import f_lambda, h_lambda
 from resdyn.oracle import _chebyshev_order, _coefficients
@@ -227,28 +226,29 @@ def band_integral_of_pole_kernel(b, energy, abs_tol=1e-12):
 
 def friedrichs_component_quad(params, energy, weight, t, tol):
     """weight * integral_0^inf sqrt(beta E) e^{-iEt} / (E - energy) dE, the
-    defining single-pole cut integral, by quadrature (t != 0): u = sqrt(E)
-    up to e0, then the ray from e0 rotated into the decaying half-plane."""
-    beta = params.beta
-    e0 = max(50.0 * beta, 50.0 * abs(energy), 10.0 * abs(params.omega1), 10.0)
-    u0 = np.sqrt(e0)
-    t = float(t)
+    defining single-pole cut integral, by quadrature (t != 0): the cut is
+    turned by -phi sign(t) about E = 0 onto a ray on which e^{-iEt} decays,
+    phi = pi/2 or pi/4, whichever lies farther in angle from the pole, and
+    a pole inside the turn adds -+2 pi i weight sqrt(beta E) e^{-iEt}."""
+    beta, t = params.beta, float(t)
+    sign = 1.0 if t > 0 else -1.0
+    phi = max((np.pi / 2, np.pi / 4),
+              key=lambda a: abs(np.angle(energy * np.exp(1j * a * sign))))
+    ray = np.exp(-1j * phi * sign)
+    sigma2 = 1.0 / (abs(t) + 1.0 / max(abs(energy), beta))
 
-    def integrand_u(u):
-        e = u * u
-        return 2.0 * np.sqrt(beta) * u * u * np.exp(-1j * e * t) / (e - energy)
+    def integrand(x):
+        r = x / (1.0 - x)
+        e = sigma2 * r * r * ray
+        de = 2.0 * sigma2 * r / (1.0 - x) ** 2 * ray
+        return np.sqrt(beta * e) * np.exp(-1j * e * t) / (e - energy) * de
 
-    u_res = float(np.sqrt(energy).real) if energy.real > 0 else -1.0
-    pts = _cut_main_breakpoints(u0, t, (u_res - 0.2, u_res, u_res + 0.2))
-    main = piecewise_quad(integrand_u, pts, abs_tol=tol.abs_tol,
-                          rel_tol=tol.rel_tol)
-
-    def f_tail(e):
-        return np.sqrt(beta * e) / (e - energy)
-
-    tail = _tail_rotated(f_tail, e0, np.array([t]), tol,
-                         "single-pole cut component tail")[0]
-    return weight * (main.value + tail)
+    value = piecewise_quad(integrand, [0.0, 1.0], abs_tol=tol.abs_tol,
+                           rel_tol=tol.rel_tol).value
+    if 0.0 < -sign * np.angle(energy) < phi:
+        value -= (sign * 2j * np.pi * np.sqrt(beta * energy)
+                  * np.exp(-1j * energy * t))
+    return weight * value
 
 
 def friedrichs_branch_value(beta, weight, energy, t, sa, sb):

@@ -859,7 +859,7 @@ def test_cli_runs_on_numpy_alone(tmp_path, monkeypatch, blas_threads):
         extra="[time]\nt_min = -20.0\nt_max = 20.0\nn_points = 5\n"
               "[oracle]\nn_sites = 50")
     # the cut quadrature is the package's only GK15 caller; t = 0 lies on
-    # this grid, so its group of one runs too
+    # this grid, so its column runs too
     friedrichs_cfg = """
 [run]
 schema_version = 1

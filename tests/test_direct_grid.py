@@ -1,11 +1,11 @@
 """Grid forms of the independent totals and the vector-valued kernel.
 
 ``survival_direct`` (the unit-circle contour) and ``a_cut_direct`` (the
-Friedrichs branch cut) take a whole time grid and integrate each group of
-times as one vector-valued quadrature; ``survival_total`` sums the poles on
-the grid.  Their grid values must match one-time calls, and the kernel's
-vector path must reproduce the scalar refinement exactly when it has one
-column.
+Friedrichs branch cut) take a whole time grid, the latter integrating the
+distinct |t| as one vector-valued quadrature; ``survival_total`` sums the
+poles on the grid.  Their grid values must match one-time calls, and the
+kernel's vector path must reproduce the scalar refinement exactly when it
+has one column.
 """
 
 import heapq
@@ -179,7 +179,7 @@ rel_tol = 1e-300
 
 
 @pytest.mark.parametrize("model, series", [
-    ("survival", "direct contour"), ("friedrichs", "Friedrichs cut main")])
+    ("survival", "direct contour"), ("friedrichs", "Friedrichs cut")])
 def test_quadrature_failure_names_the_total(tmp_path, capsys, model, series):
     command, text = FAILING_CONFIGS[model]
     cfg = tmp_path / f"{model}.cfg"
