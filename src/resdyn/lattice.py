@@ -12,6 +12,7 @@ the lead hopping b.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import warnings
@@ -495,141 +496,99 @@ def theta_amplitude(spectrum, theta_state, n, t):
     return sum(rows) if n == "total" else rows[n]
 
 
-# a pole at distance d from the real k axis costs the trapezoid rule on M
-# nodes of the circle an error of about e^{-M d}: the rule resolves it once
-# M d passes this
+# a pole d from the real k axis costs the trapezoid rule on N nodes of the
+# circle a miss of about e^{-N d}; below this N d it is added back exactly
 _RESOLVED = 40.0
-# ratio of the widths of consecutive bumps in a pole's ladder
-_RUNG = 16.0
 # the most nodes of [0, pi] the direct contour takes before it gives up
 _MAX_NODES = 1 << 20
 _EPS = np.finfo(float).eps
+# pi in three parts (Cody and Waite), the first two of 32 bits, so that
+# j pi_1/m and j pi_2/m are exact for every node j <= _MAX_NODES
+_PI_PARTS = (3.1415926534682512, 1.2154201012607932e-10, 4.044532497591901e-21)
 
 
-def _wrap(angle):
-    """angle - 2 pi for angles above pi: differences of two angles in
-    [-pi, pi] brought into [-pi, pi], where 2 pi - 2 pi is exactly 0."""
-    return np.where(angle > np.pi, angle - 2.0 * np.pi, angle)
+def _expm1(z):
+    """e^z - 1 for complex z, to the rounding of z."""
+    half = 0.5 * np.imag(z)
+    return (np.expm1(np.real(z)) * np.exp(2j * half)
+            + 2j * np.sin(half) * np.exp(1j * half))
 
 
-def _node_map(theta, d):
-    """phi and phi' of the direct contour's node-density map, with bumps of
-    widths ``d`` at the angles ``theta`` in [0, pi].
+def _node_offset(lam, m):
+    """(j0, delta) for each pole lam: the node j0 pi/m nearest arg lam and
+    arg lam - j0 pi/m, exact to its own rounding however close the node.
+    A real root sits at k = 0 or pi itself (not at float pi): delta = 0."""
+    arg = np.angle(lam)
+    j0 = np.rint(arg * (m / np.pi))
+    pi_1, pi_2, pi_3 = _PI_PARTS
+    delta = arg - j0 * pi_1 / m - j0 * pi_2 / m - j0 * pi_3 / m
+    return j0, np.where(np.imag(lam) == 0.0, 0.0, delta)
 
-    The density in k is 1 + sum_n [P_n(k - theta_n) + P_n(k + theta_n)]/2,
-    with P_n(u) = sinh d_n / (2 sinh^2(d_n/2) + 2 sin^2(u/2)) the Poisson
-    kernel (never cosh d - cos u, which loses every digit once d and u are
-    small), and phi is its integral from 0 over its integral on [0, pi]:
 
-        phi(k) = k + sum_n [a_n(k - theta_n) + a_n(k + theta_n)] / (1 + #n),
-        a(u) = atan2(c sin(u/2) cos(u/2), 1 + c sin^2(u/2)),
-        c = coth(d/2) - 1 = 2/expm1(d).
+def _pole_terms(lams, weights, m, x):
+    """sum_n G_n(x) over the poles ``lams``; one above the real axis stands
+    for its conjugate pair too, as G_n(x) - conj G_n(-x).
 
-    phi is odd, phi(pi) = pi and phi' >= 1/(1 + #n); with no bumps it is
-    the identity.  A node is k = centre + u, with u exact next to its
-    centre, so ``warp(centre)(u)`` resolves bumps far narrower than the
-    spacing of floats at k.
+    G_n is what the trapezoid rule on the N = 2m nodes j pi/m misses of
+    the circle integral of sin k W_n e^{ix cos k}/(e^{ik} - lam_n), plus
+    the rule's term at the node k_0 = j0 pi/m nearest the pole: with
+    B(k) = sin k e^{-ik} e^{ix cos k}, k_n = arg lam - i ln|lam| and
+    eps = k_n - k_0, 2 pi W [(B(k_n) - B(k_0))/(e^{iN eps} - 1) + B(k_0) K],
+    K = 1/(e^{iN eps} - 1) - 1/(N (e^{i eps} - 1)), whose singular parts
+    cancel in a series for |N eps| < 1/2.  Inside the circle lie only real
+    roots, at k_0 = 0 or pi, where B(k_0) = 0; their miss is
+    -2 pi W B(k_n)/(e^{-iN eps} - 1).  B(k_n) - B(k_0) comes from e^z - 1
+    of the differences, and sin k_0 and cos k_0 from the node's distance to
+    0 or pi and to pi/2, so a real root's G_n is exactly imaginary at x = 0.
     """
-    scale = 1.0 + len(d)
-    # one column per bump at theta, then per bump at -theta; the arguments
-    # of atan2 are divided by c, and those of P by 2
-    d = np.concatenate((d, d))
-    inv_c = 0.5 * np.expm1(d)
-    half_sinh = 0.5 * np.sinh(d)
-    half_floor = np.sinh(0.5 * d) ** 2
-
-    def warp(centre):
-        # half the angles from the bumps at theta and at -theta
-        half = 0.5 * np.concatenate(
-            (centre[:, None] - theta, _wrap(centre[:, None] + theta)), axis=1)
-
-        def phi(u):
-            angle = half + 0.5 * u[:, None]
-            half_sin = np.sin(angle)
-            sin2 = half_sin * half_sin
-            turn = np.arctan2(half_sin * np.cos(angle), inv_c + sin2)
-            density = half_sinh / (half_floor + sin2)
-            return (centre + u + turn.sum(axis=1) / scale,
-                    (1.0 + 0.5 * density.sum(axis=1)) / scale)
-
-        return phi
-
-    return warp
-
-
-def _nearest(centres, k):
-    """The nearest of the ascending ``centres`` to each k."""
-    i = np.searchsorted(centres[1:-1], k) + 1
-    return np.where(k - centres[i - 1] <= centres[i] - k,
-                    centres[i - 1], centres[i])
-
-
-def _guide(warp, centres, ends, theta, d):
-    """Knots (rows centre, u, phi, phi') for ``_place`` to start from: the
-    ``ends`` at k = 0 and pi, 31 even points between them and, about each
-    bump centre, the offsets +-d 2^j from its narrowest width d up to pi."""
-    even = np.linspace(0.0, np.pi, 33)[1:-1]
-    centre = [_nearest(centres, even)]
-    u = [even - centre[0]]
-    for c in set(theta.tolist()):
-        narrowest = d[theta == c].min()
-        offset = narrowest * 2.0 ** np.arange(np.ceil(np.log2(np.pi / narrowest)))
-        offset = np.concatenate((-offset, offset))
-        offset = offset[(c + offset > 0.0) & (c + offset < np.pi)]
-        centre.append(np.full(len(offset), c))
-        u.append(offset)
-    centre, u = np.concatenate(centre), np.concatenate(u)
-    order = np.argsort(centre + u)
-    inner = np.array([centre[order], u[order], u[order], u[order]])
-    inner[2], inner[3] = warp(inner[0])(inner[1])
-    # phi rounds: keep the knots strictly inside (0, pi) on which it rises
-    inner = inner[:, (inner[2] > 0.0) & (inner[2] < np.pi)]
-    inner = inner[:, np.concatenate(
-        ([True], inner[2, 1:] > np.maximum.accumulate(inner[2])[:-1]))]
-    return np.concatenate((ends[:, :1], inner, ends[:, 1:]), axis=1)
-
-
-def _place(warp, centres, knots, target):
-    """Nodes (rows centre, u, phi, phi') at the phi in ``target``, which lie
-    within the phi of the ascending ``knots`` (the same rows).
-
-    A node takes the nearest of ``centres`` and is found by Newton's method
-    in u from the cubic Hermite guess between the two knots about it,
-    falling back on bisection whenever a step leaves their bracket.
-    """
-    i = np.searchsorted(knots[2], target)
-    left, right = knots[:, i - 1], knots[:, i]
-    gap = right[2] - left[2]
-    frac = (target - left[2]) / gap
-    k = left[0] + left[1] + frac * ((right[0] + right[1]) - (left[0] + left[1]))
-    centre = _nearest(centres, k)
-    phi = warp(centre)
-    lo = (left[0] - centre) + left[1]
-    hi = (right[0] - centre) + right[1]
-    rise = frac * frac * (3.0 - 2.0 * frac)
-    u = np.minimum(np.maximum(lo + rise * (hi - lo) + gap * frac * (1.0 - frac)
-                              * ((1.0 - frac) / left[3] - frac / right[3]), lo), hi)
-    for _ in range(64):
-        value, slope = phi(u)
-        miss = value - target
-        lo = np.where(miss < 0.0, u, lo)
-        hi = np.where(miss > 0.0, u, hi)
-        step = u - miss / slope
-        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        # a node is placed once phi meets its target to rounding, or once
-        # Newton's step is below rounding in u
-        if np.all((np.abs(miss) <= 8.0 * _EPS * np.pi)
-                  | (np.abs(step - u) <= 4.0 * _EPS * np.abs(u))):
-            break
-        u = step
-    return np.array([centre, u, target, slope])
-
-
-def _interleave(nodes, new):
-    """The columns of ``nodes`` with those of ``new`` between them."""
-    out = np.empty((len(nodes), nodes.shape[1] + new.shape[1]))
-    out[:, 0::2], out[:, 1::2] = nodes, new
-    return out
+    if not len(lams):
+        return 0.0
+    coeffs = []
+    big = 2 * m
+    # np.abs, as the node sums take |lam|: abs() can differ by an ulp, and
+    # the rule's sums next to a narrow pole move by N eps |W| with it
+    rows = zip(lams.tolist(), weights.tolist(), np.log(np.abs(lams)).tolist(),
+               *(part.tolist() for part in _node_offset(lams, m)))
+    for lam, weight, ell, j0, delta in rows:
+        sign = 1.0 if ell > 0.0 else -1.0
+        # e^z - 1 at z = -2i eps, i sign N eps, iN eps and i eps
+        twice, wrap, big_turn, turn = _expm1(np.array([
+            complex(-2.0 * ell, -2.0 * delta),
+            complex(sign * big * ell, sign * big * delta),
+            complex(big * ell, big * delta), complex(ell, delta)])).tolist()
+        sin_0 = math.sin(min(j0, m - j0) * (math.pi / m))
+        cos_0 = math.sin((m // 2 - j0) * (math.pi / m))
+        back = complex(cos_0, -sin_0)  # e^{-ik_0}
+        half = complex(0.5 * delta, -0.5 * ell)  # eps/2
+        sin_half = cmath.sin(half)
+        sin_mid = sin_0 * cmath.cos(half) + cos_0 * sin_half  # sin((k_n + k_0)/2)
+        # B(k_n) - B(k_0) = dp e^{ix cos k_n} + p0 e^{ix cos k_0} (e^{x shift} - 1)
+        dp = 0.5j * back * back * twice
+        p0 = sin_0 * back
+        shift = -2j * sin_mid * sin_half
+        k = 0.0
+        if p0:
+            z = complex(big * ell, big * delta)  # iN eps
+            if abs(z) < 0.5:
+                # N(e^{i eps} - 1) - (e^{iN eps} - 1), term by term
+                series, power, fact = 0.0, z, 1.0
+                for order in range(2, 21):
+                    power *= z
+                    fact *= order
+                    series -= power / fact * (1.0 - big ** (1 - order))
+                k = series / (big * turn * big_turn)
+            else:
+                k = 1.0 / big_turn - 1.0 / (big * turn)
+        scale = 2.0 * math.pi * weight
+        coeffs.append((cos_0, shift, scale * sign * dp / wrap, scale * p0 / wrap,
+                       scale * p0 * k))
+    cos_0, shift, a_n, a_shift, a_0 = (np.array(c)[:, None] for c in zip(*coeffs))
+    xs = np.concatenate((x, -x))
+    e_0 = np.exp(1j * xs * cos_0)
+    e_shift = _expm1(xs * shift)
+    g = a_n * (e_0 + e_0 * e_shift) + (a_shift * e_shift + a_0) * e_0
+    pair = lams.imag > 0.0
+    return g[:, :len(x)].sum(axis=0) - np.conj(g[pair, len(x):]).sum(axis=0)
 
 
 def _phase_sums(k, weights, x):
@@ -649,41 +608,32 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     integral of the partial-fraction contour integrand.
 
     ``t`` is a time or a 1-d grid (a grid gives an array); a ``spectrum``
-    solved for other parameters raises DomainError.  H and |d1> are
-    real, so A(-t) = conj A(t): only the distinct |t| are integrated.  For
-    the same reason the states and weights come in conjugate pairs, so the
-    integrand f at -k is the mirror of f at k and the circle folds onto
+    solved for other parameters raises DomainError.  H and |d1> are real,
+    so A(-t) = conj A(t), and only the distinct |t| are integrated; the
+    states and weights come in conjugate pairs, so the circle folds onto
     [0, pi]: f(k) + f(-k) = -(2bg^2/pi) sin k Im sum_n W_n/(e^{ik} - lam_n)
     e^{2ibt cos k}, a real t-independent density times a phase.
 
     Before the fold the integrand is smooth and 2 pi-periodic, with poles
     at k = arg lam_n +- i d_n, d_n = |ln|lam_n||, so the trapezoid rule on
-    M nodes of the circle converges like e^{-M d} once M passes the
-    oscillation count 2b|t| (Trefethen & Weideman, SIAM Rev. 56, 385
-    (2014)).  On [0, pi] that rule has the nodes k_j = j pi/m and no
-    endpoint terms, since sin k vanishes there.  It starts at the power of
-    two m >= (x + 12 x^{1/3} + 40)/2, x = 2b max|t|, where the aliased
-    Bessel terms J_2m(x) are below 1e-17, and doubles m, reusing every
-    node, until two successive sums of a time agree within
-    abs_tol + rel_tol |A(t)|; converged times drop out.  Successive sums
-    that agree to their own rounding (8 eps sum_j |terms|) with the
-    tolerance still below it, or a rule that would pass _MAX_NODES nodes,
-    raise ToleranceNotMet.
+    N nodes converges like e^{-N d} once N passes 2b|t| (Trefethen &
+    Weideman, SIAM Rev. 56, 385 (2014)): on [0, pi] the nodes j pi/m, with
+    no endpoint terms.  m starts at the power of two >= (x + 12 x^{1/3} +
+    40)/2, x = 2b max|t|, where the aliased J_2m(x) are below 1e-17, and
+    doubles, reusing every node, until two successive sums of a time agree
+    within abs_tol + rel_tol |A(t)|; converged times drop out.  Sums that
+    agree to their rounding (8 eps sum_j |terms|) with the tolerance below
+    it, or a rule past _MAX_NODES nodes, raise ToleranceNotMet.
 
-    A pole that the plain start leaves unresolved (2m d_n < _RESOLVED)
-    gets nodes of its own through ``_node_map``: a ladder of bumps of
-    widths d_n, 16 d_n, 256 d_n, ... below the narrowest width that start
-    resolves.  One bump of width d alone puts a branch point of k(phi)
-    about sqrt(d) from the real axis, so the rule would need about
-    20/sqrt(d) nodes; the ladder needs a few per rung.  The rule then runs
-    on the uniform phi_j with the integrand divided by phi'(k); x counts
-    1 + #bumps times over, as the map thins the nodes away from its bumps
-    by up to that factor, and the start has at least 16 nodes per bump
-    (with fewer, 4 and 5 bumps needed a third level on short grids).  Nodes are held relative to the nearest
-    bump centre and the density is summed relative to each pole, as
-    W_n e^{-i arg lam_n}/(e^{iv} - |lam_n|) with v = k - arg lam_n, so both
-    keep their digits next to a pole within 1e-9 of the circle.  Nodes,
-    weights and phases are made in blocks of at most _BLOCK values.
+    A pole that a level leaves unresolved (2m d_n < _RESOLVED: a real root
+    near the band edge, a narrow resonance at weak coupling) has the rule's
+    miss added back in closed form (``_pole_terms``; as 2m >= x, the
+    e^{-iE_n t} that grows toward t < 0 arrives damped), together with its
+    term at its nearest node, which the node sums leave out until a
+    doubling brings a nearer node or resolves the pole.  The density is
+    summed relative to each pole (``_node_offset``), so it keeps its digits
+    next to a pole within 1e-9 of the circle.  Nodes, weights and phases
+    go in blocks of at most _BLOCK values.
     """
     grid, scalar = _time_grid(t)
     times, inverse = np.unique(np.abs(grid), return_inverse=True)
@@ -695,80 +645,77 @@ def survival_direct(params, t, tol=DEFAULT_TOLERANCES, spectrum=None):
     for st in s.by_class(StateClass.BOUND):
         bound_sum += st.dyad_phi * np.exp(-1j * st.energy * times)
     lams = np.array([st.lam for st in s.states])
-    arg, radius = np.angle(lams), np.abs(lams)
-    w_turned = (np.array([st.weight_w * st.lam / (b * g * g) for st in s.states])
-                * np.exp(-1j * arg))
-
-    def weights(nodes):
-        # (f(k) + f(-k)) / phi'(k) at t = 0, where f(k) + f(-k) is the
-        # positive scattering-state density sum_a |<d1|phi_ka>|^2 / pi
-        centre, u, _, slope = nodes
-        half = 0.5 * (_wrap(centre[:, None] - arg) + u[:, None])
-        half_sin, half_cos = np.sin(half), np.cos(half)
-        # e^{iv} - |lam| = i sin v - (2 sin^2(v/2) + |lam| - 1)
-        gap = (2j * half_sin * half_cos
-               - (2.0 * half_sin * half_sin + (radius - 1.0)))
-        # the centre pi stands for the band edge itself, where sin k
-        # vanishes and a negative real root's pole sits; sin(float pi) =
-        # 1.2e-16 would shift that zero off the pole, an error of about
-        # |W| eps |ln d| (2.4e-14 at d = 1e-6)
-        sin_c = np.where(centre == np.pi, 0.0, np.sin(centre))
-        sin_k = sin_c * np.cos(u) + np.cos(centre) * np.sin(u)
-        return ((-2.0 * b * g * g / np.pi) * sin_k
-                * (w_turned / gap).sum(axis=1).imag / slope)
-
+    radius = np.abs(lams)
+    big_w = np.array([st.weight_w * st.lam / (b * g * g) for st in s.states])
+    w_turned = big_w * np.exp(-1j * np.angle(lams))
     x = 2.0 * b * times
     x_max = x.max(initial=0.0)
-    width = np.abs(np.log(radius))
-    widest = _RESOLVED / (x_max + 12.0 * np.cbrt(x_max) + 40.0)
-    # a conjugate pair shares its poles: one ladder for both
-    near = (width < widest) & (arg >= 0.0)
-    rungs = np.ceil(np.log(widest / width[near]) / np.log(_RUNG)).astype(int)
-    first = np.repeat(np.cumsum(rungs) - rungs, rungs)
-    theta = np.repeat(arg[near], rungs)
-    spread = np.repeat(width[near], rungs) * _RUNG ** (np.arange(len(first)) - first)
-    warp = _node_map(theta, spread)
-    centres = np.array(sorted({0.0, np.pi, *theta.tolist()}))
-    block = _BLOCK // (2 * len(spread) + len(lams) + 1)
-    x_max *= 1 + len(spread)
-    m = max((x_max + 12.0 * np.cbrt(x_max) + 40.0) / 2.0, 16.0 * (1 + len(spread)))
-    m = 1 << int(np.ceil(np.log2(m)))
+    m = 1 << int(np.ceil(np.log2((x_max + 12.0 * np.cbrt(x_max) + 40.0) / 2.0)))
+    block = _BLOCK // (len(lams) + 1)
+    scale = 1j * b * g * g / np.pi
+
+    def narrow(m):
+        # the poles the rule on 2m nodes leaves unresolved (a conjugate
+        # pair by its member above the axis), and {n: j0} for the complex
+        # ones: the node j0 pi/m nearest each, whose term the sums leave out
+        poles = np.flatnonzero((2 * m * np.abs(np.log(radius)) < _RESOLVED)
+                               & (lams.imag >= 0.0))
+        j0, _ = _node_offset(lams, m)
+        return poles, {n: j0[n] for n in poles if lams[n].imag > 0.0 and 0 < j0[n] < m}
+
+    def density(js, m):
+        # each pole's share of f(k) + f(-k) at t = 0 on the nodes j pi/m,
+        # with e^{iv} - |lam| = i sin v - (2 sin^2(v/2) + |lam| - 1)
+        j0, delta = _node_offset(lams, m)
+        half = 0.5 * ((js[:, None] - j0) * (np.pi / m) - delta)
+        half_sin, half_cos = np.sin(half), np.cos(half)
+        share = w_turned / (2j * half_sin * half_cos
+                            - (2.0 * half_sin * half_sin + (radius - 1.0)))
+        sin_k = np.sin(np.minimum(js, m - js) * (np.pi / m))
+        return (-2.0 * b * g * g / np.pi) * sin_k[:, None] * share.imag
+
+    def level(js, m, active, held):
+        # the phase sums of the nodes j pi/m for the active times, without
+        # the held terms, and the sum of their |density|
+        sums, mass = np.zeros(len(active), dtype=complex), 0.0
+        for start in range(0, len(js), block):
+            j = js[start:start + block]
+            shares = density(j, m)
+            for n, j0 in held.items():
+                shares[j == j0, n] = 0.0
+            weight = shares.sum(axis=1)
+            sums += _phase_sums(j * (np.pi / m), weight, x[active])
+            mass += np.abs(weight).sum()
+        return sums, mass
 
     def fail(which, why):
         raise ToleranceNotMet(
             _failure_message("direct contour", times[which], tol, why),
             result=(bound_sum + value)[which])
 
-    def level(knots, target, active):
-        # the nodes at ``target``, their phase sums for the active times
-        # and the sum of their |weights|
-        parts, sums, mass = [], np.zeros(len(active), dtype=complex), 0.0
-        for start in range(0, len(target), block):
-            new = _place(warp, centres, knots, target[start:start + block])
-            weight = weights(new)
-            sums += _phase_sums(new[0] + new[1], weight, x[active])
-            mass += np.abs(weight).sum()
-            parts.append(new)
-        return np.concatenate(parts, axis=1), sums, mass
-
     value = np.zeros(len(times), dtype=complex)
     active = np.arange(len(times))
     if 2 * m > _MAX_NODES:
         fail(active, f"the rule would start on {m - 1} nodes")
-    # the knots at k = 0 and pi (rows centre, u, phi, phi')
-    ends = np.array([[0.0, np.pi], [0.0, 0.0], [0.0, np.pi], [0.0, 0.0]])
-    ends[3] = warp(ends[0])(ends[1])[1]
-    inner, raw, mass = level(_guide(warp, centres, ends, theta, spread),
-                             np.arange(1, m) * (np.pi / m), active)
-    nodes = np.concatenate((ends[:, :1], inner, ends[:, 1:]), axis=1)
-    value = raw * (np.pi / m)
+    poles, held = narrow(m)
+    raw, mass = level(np.arange(1, m), m, active, held)
+    value = raw * (np.pi / m) + scale * _pole_terms(
+        lams[poles], big_w[poles], m, x[active])
     while True:
-        new, sums, more = level(nodes, (np.arange(m) + 0.5) * (np.pi / m), active)
+        poles, now = narrow(2 * m)
+        sums, more = level(np.arange(1, 2 * m, 2), 2 * m, active, now)
+        for n, j in held.items():
+            if now.get(n) != 2 * j:
+                # resolved, or nearer a new node: the term joins the sums
+                weight = density(np.array([2 * j]), 2 * m)[0, n]
+                sums += weight * np.exp(1j * x[active] * np.cos(j * (np.pi / m)))
+                more += abs(weight)
+        held = now
         raw[active] += sums
         mass += more
-        nodes = _interleave(nodes, new)
         m *= 2
-        estimate = raw[active] * (np.pi / m)
+        estimate = raw[active] * (np.pi / m) + scale * _pole_terms(
+            lams[poles], big_w[poles], m, x[active])
         # no tolerance below the rounding of the sums can be certified
         floor = 8.0 * _EPS * mass * (np.pi / m)
         miss = np.maximum(np.abs(estimate - value[active]), floor)

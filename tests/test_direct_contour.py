@@ -12,18 +12,25 @@ import json
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from resdyn.cli import main
-from resdyn.errors import DomainError, ResdynError, ToleranceNotMet
+from resdyn.errors import (
+    DomainError,
+    NoResonance,
+    ToleranceNotMet,
+    Unclassifiable,
+)
 from resdyn.lattice import (
     DEFAULT_TOLERANCES,
     StateClass,
     TDotParams,
     Tolerances,
+    _pole_terms,
     amplitude_grid,
     discrete_spectrum,
     survival_direct,
@@ -35,8 +42,8 @@ from conftest import FIG9_PARAMS
 TIMES = np.linspace(-20.0, 20.0, 41)
 
 
-def _oracle(params, row="d1"):
-    return propagate(build_hamiltonian(params, 60), TIMES).amplitudes[row]
+def _oracle(params, row="d1", times=TIMES, sites=60):
+    return propagate(build_hamiltonian(params, sites), times).amplitudes[row]
 
 
 def _band_edge(b, eps2, g, t2l, t2r, sign, side, log_d):
@@ -63,14 +70,15 @@ _BOX = st.builds(
 
 def _spectrum_or_reject(params):
     """The spectrum, or a rejected draw where a typed regime error says
-    there is none (a root on the circle, no state left).  Pairs of roots
-    closer than 1e-3 are rejected too: their weights grow as one over the
-    separation and lose digits (``test_near_degenerate_anti_bound_pair``)."""
+    there is none (a root on the circle, no resonance); any other error
+    fails the draw.  Pairs of roots closer than 1e-3 are rejected too:
+    their weights grow as one over the separation and lose digits
+    (``test_near_degenerate_anti_bound_pair``)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             spectrum = discrete_spectrum(params)
-    except ResdynError:
+    except (Unclassifiable, NoResonance):
         assume(False)
     lams = [s.lam for s in spectrum.states]
     assume(all(abs(a - b) > 1e-3 for i, a in enumerate(lams) for b in lams[i + 1:]))
@@ -151,6 +159,103 @@ def test_negative_real_root_at_the_band_edge():
     spectrum = discrete_spectrum(params)
     direct = survival_direct(params, TIMES, spectrum=spectrum)
     assert np.max(np.abs(direct - _oracle(params))) <= 1e-14
+
+
+LONG_TIMES = np.linspace(-200.0, 200.0, 41)
+
+
+@pytest.mark.parametrize("g", [1e-2, 1e-3, 1e-4])
+def test_resonance_on_a_node_meets_the_oracle(g):
+    # eps1 = eps2 = 0 and t2L = t2R put the resonance at lam = i(1 + d),
+    # d = 5e-5 (g = 1e-2) to 5e-9 (g = 1e-4): at k = pi/2, a node at every
+    # level.  The node's own term (about h|W|/d) and the rule's miss cancel;
+    # formed apart, with phases rounded apart, they miss the oracle by
+    # 6.8e-10 at g = 1e-4.  The oracle is exact to its rounding here: 60
+    # sites cover +-20, 460 sites +-200
+    params = TDotParams(1.0, 0.0, 0.0, g, 0.7, 0.7)
+    spectrum = discrete_spectrum(params)
+    assert spectrum.resonant().lam.real == 0.0
+    for times, sites, bound in ((TIMES, 60, 2e-14), (LONG_TIMES, 460, 2e-13)):
+        direct = survival_direct(params, times, spectrum=spectrum)
+        assert np.max(np.abs(direct - _oracle(params, times=times, sites=sites))) \
+            <= bound
+
+
+def test_resonance_whose_nearest_node_moves():
+    # a resonance 5.3e-7 from the circle, 0.4995 of a node spacing from
+    # its nearest node at m = 512, so at m = 1024 a new midpoint is nearer:
+    # the pole's term at the old node must rejoin the sums, or the levels
+    # never agree (ToleranceNotMet on 2^20 nodes)
+    params = TDotParams(1.0, -0.4561510389485459, -0.546703029333161,
+                        0.0010691491769410243, 0.4833949249145828,
+                        0.8908044199660607)
+    spectrum = discrete_spectrum(params)
+    lam = spectrum.resonant().lam
+    assert abs(math.log(abs(lam))) < 1e-6
+    offset = np.angle(lam) * 512 / np.pi
+    assert 0.499 < abs(offset - round(offset)) < 0.5
+    exact = _oracle(params, times=LONG_TIMES, sites=460)
+    for tol in (DEFAULT_TOLERANCES, Tolerances(1e-14, 1e-14)):
+        direct = survival_direct(params, LONG_TIMES, tol=tol, spectrum=spectrum)
+        assert np.max(np.abs(direct - exact)) <= 3e-13
+
+
+def _pole_miss_mp(lam, weight, m, x):
+    """What the rule on the 2m nodes j pi/m misses of the circle integral
+    of sin k W e^{ix cos k}/(e^{ik} - lam), plus the rule's term at the
+    node nearest the pole (none at k = 0 or pi), at 40 digits; a pole above
+    the axis with its conjugate.  The pole is where ``_pole_terms`` puts
+    it: at the float arg and modulus of ``lam``, at k = 0 or pi if real."""
+    radius = mp.mpf(float(np.abs(np.array([lam]))[0]))
+    if lam.imag == 0:
+        arg = mp.pi if lam.real < 0 else mp.mpf(0)
+    else:
+        arg = mp.mpf(float(np.angle(lam)))
+    width = abs(mp.log(radius))
+    h = mp.pi / m
+
+    def one(a, w):
+        pole = radius * mp.expj(a)
+
+        def f(k):
+            return mp.sin(k) * w * mp.expj(x * mp.cos(k)) / (mp.expj(k) - pole)
+
+        cuts = [a + s * width * 10 ** e for e in range(12) if width * 10 ** e < 1
+                for s in (-1, 1)]
+        exact = mp.quad(f, sorted([a - mp.pi, a + mp.pi] + cuts))
+        j0 = int(mp.nint(a / h))
+        rule = h * mp.fsum(f(j * h) for j in range(2 * m))
+        return exact - rule + (h * f(j0 * h) if j0 % m else 0)
+
+    w = mp.mpc(weight.real, weight.imag)
+    total = one(arg, w)
+    if lam.imag > 0:
+        total += one(-arg, mp.conj(w))
+    return complex(total)
+
+
+@pytest.mark.parametrize("lam, x", [
+    (1.1 * np.exp(0.7j), 10.0),
+    (np.exp(1e-4 + 0.7j), 10.0),
+    (1.0000000051j, 10.0),
+    (1.0000000051j, 40.0),
+    (np.exp(1e-6 + 1j * (np.pi / 2 + 1e-3)), 10.0),
+    (np.exp(1e-4 - 0.7j), 10.0),
+    (complex(np.exp(1e-4)), 10.0),
+    (complex(np.exp(-1e-4)), 10.0),
+    (complex(-np.exp(1e-4)), 10.0),
+], ids=["generic", "narrow", "on-a-node", "on-a-node-x40", "off-a-node",
+        "below-the-axis", "real-outside", "real-inside", "real-at-pi"])
+def test_closed_form_meets_a_40_digit_quadrature(lam, x):
+    # 2m = 128 nodes pass the oscillation count x + 12 x^{1/3} + 40, so the
+    # rule's miss is the pole's alone; the closed form takes the pole's
+    # term at its nearest node in with it, which the on-node case (a pole
+    # 5e-9 from k = pi/2, about 1e7 |W| at the node) could not lose
+    weight = 1.0 + 0.3j
+    with mp.workdps(40):
+        want = _pole_miss_mp(lam, weight, 64, x)
+    got = _pole_terms(np.array([lam]), np.array([weight]), 64, np.array([x]))[0]
+    assert abs(got - want) <= 3e-15 * abs(want)
 
 
 FIG6A_TIMES = np.linspace(-10.0, 10.0, 401)
